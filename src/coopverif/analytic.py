@@ -113,10 +113,10 @@ def baseline_saturation(tau: float, gamma: float) -> float:
     A single verifier processes ``1/tau`` messages per second while each
     neighbour offers ``gamma``; the boundary is ``1 / (tau * gamma)``.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     return 1.0 / (tau * gamma)
 
 

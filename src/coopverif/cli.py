@@ -15,7 +15,8 @@ Scenario settings come from an INI-style config file (sections
 ``--set key=value``.  Exit codes: 0 success, 2 configuration error,
 3 I/O error.  Outputs contain no timestamps: identical invocations produce
 byte-identical files.  ``COOPVERIF_WORKERS`` bounds the process pool used
-for replications (default 1, fully sequential).
+for replications (default 1, fully sequential); the pool never exceeds the
+number of replications or of CPUs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -46,33 +47,27 @@ from .sim import AdversaryConfig, ConfigError, DetectionConfig, ScenarioConfig, 
 
 WORKERS_ENV = "COOPVERIF_WORKERS"
 
-_SCENARIO_KEYS = {
-    "n_nodes": int,
-    "pr_check": float,
-    "alpha": int,
-    "tau": float,
-    "gamma": float,
-    "scheme": str,
-    "duration": float,
-    "area_side": float,
-    "bitrate": float,
-    "seed": int,
-    "loss_prob": float,
-    "record_all_nodes": bool,
-    "audit": bool,
-}
-_ADVERSARY_KEYS = {"gamma_adv": float, "bogus_per_claim": int, "start_time": float}
-_DETECTION_KEYS = {"votes_needed": int, "blacklist_rejected": bool}
+
+def _keys(cls) -> Dict[str, type]:
+    """Config keys of one section, typed by their defaults, in field order."""
+    return {
+        f.name: type(f.default) for f in fields(cls) if f.name not in ("adversary", "detection")
+    }
+
+
+_SCENARIO_KEYS = _keys(ScenarioConfig)
+_ADVERSARY_KEYS = _keys(AdversaryConfig)
+_DETECTION_KEYS = _keys(DetectionConfig)
 
 # Sweepable parameter names as used on the command line.
 _SWEEP_PARAMS = {
-    "N": ("n_nodes", int),
-    "n_nodes": ("n_nodes", int),
-    "pr_check": ("pr_check", float),
-    "alpha": ("alpha", int),
-    "tau": ("tau", float),
-    "gamma": ("gamma", float),
-    "scheme": ("scheme", str),
+    "N": "n_nodes",
+    "n_nodes": "n_nodes",
+    "pr_check": "pr_check",
+    "alpha": "alpha",
+    "tau": "tau",
+    "gamma": "gamma",
+    "scheme": "scheme",
 }
 
 
@@ -321,21 +316,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"unknown sweep parameter {args.param!r}; choose from {sorted(_SWEEP_PARAMS)}"
         )
-    field_name, value_type = _SWEEP_PARAMS[args.param]
-    values = [_convert(args.param, v, value_type) for v in args.values.split(",") if v.strip()]
+    field_name = _SWEEP_PARAMS[args.param]
+    values = [v for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
-    base = load_config(args.config, args.set, args.seed)
+    # Every swept config is loaded, and so validated, before any run.
+    configs = [
+        load_config(args.config, [*args.set, f"{field_name}={v}"], args.seed) for v in values
+    ]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     quantile_grid = [round(q / 100.0, 2) for q in range(0, 101)]
     combined_rows: List[List[object]] = []
-    for value in values:
-        config = replace(base, **{field_name: value})
-        config.validate()
+    for config in configs:
         result = run_replications(config, args.runs, workers=_workers())
-        label = _sweep_value_label(value)
+        label = _sweep_value_label(getattr(config, field_name))
         sub = out_dir / f"{args.param}={label}"
         export_replication(result, sub)
         _write_effective_config(config, args.runs, sub)
@@ -351,13 +347,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    params = DetectionParams(
-        alpha=args.alpha,
-        pr_check=args.pr_check,
-        n_neighbors=args.neighbors,
-        votes_needed=args.votes,
-        n_messages=args.n_messages,
-    )
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    try:
+        params = DetectionParams(
+            alpha=args.alpha,
+            pr_check=args.pr_check,
+            n_neighbors=args.neighbors,
+            votes_needed=args.votes,
+            n_messages=args.n_messages,
+        )
+        saturation = baseline_saturation(args.tau, args.gamma)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     started = time.perf_counter()
     skip = pr_skip(params.pr_check, params.alpha)
     reveal = pr_reveal(params)
@@ -365,7 +367,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if params.n_messages not in exposure:
         exposure.append(params.n_messages)
     after_n = [(n, pr_reveal_after_n(reveal, n)) for n in exposure]
-    saturation = baseline_saturation(args.tau, args.gamma)
     mc = monte_carlo_reveal(params, args.trials, np.random.default_rng(args.seed))
     elapsed = time.perf_counter() - started
 
@@ -444,9 +445,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

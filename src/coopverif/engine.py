@@ -74,6 +74,19 @@ class Disposition:
         if self.waiting_time < -1e-12:
             raise ValueError(f"negative waiting time: {self.waiting_time}")
 
+    @classmethod
+    def of(cls, outcome: DispositionKind, job: VerificationJob, left_at: float) -> "Disposition":
+        """The record of ``job`` leaving its queue for good at ``left_at``."""
+        return cls(
+            outcome,
+            job.digest,
+            job.message.cam.sender,
+            job.enqueue_time,
+            left_at,
+            left_at - job.enqueue_time,
+            job.message.signature.valid,
+        )
+
 
 class QueueInvariantError(AssertionError):
     """Raised by audits when the queue state is internally inconsistent."""
@@ -230,23 +243,6 @@ class VerifiedCache:
 
 
 @dataclass(slots=True)
-class InFlightVerification:
-    """A popped job whose signature check is in progress."""
-
-    job: VerificationJob
-    popped_at: float
-    completes_at: float
-    valid: bool
-
-
-@dataclass(slots=True)
-class VerificationResult:
-    job: VerificationJob
-    valid: bool
-    disposition: Disposition
-
-
-@dataclass(slots=True)
 class ClaimApplication:
     """Effects of scanning one accepted message's claims over the queue."""
 
@@ -285,8 +281,8 @@ class NodeState:
         self.queue = VerificationQueue()
         # Baseline nodes never claim, so they keep no verified digests.
         self.cache = VerifiedCache(alpha if cooperative else 0)
-        self.in_flight: Optional[InFlightVerification] = None
-        self.busy_until = 0.0
+        self.in_flight: Optional[VerificationJob] = None  # popped, signature check running
+        self.popped_at = 0.0  # when ``in_flight`` left the queue
         self.seq = 0
         self.receptions = 0
         self.verifications_completed = 0
@@ -309,12 +305,9 @@ class NodeState:
             return job
         return None
 
-    def idle(self) -> bool:
-        return self.in_flight is None
-
     # -- verification ------------------------------------------------------
 
-    def pop_and_verify(self, now: float) -> InFlightVerification:
+    def pop_and_verify(self, now: float) -> VerificationJob:
         """Pop the head job and occupy the verifier for ``tau`` seconds.
 
         The signature outcome is revealed (and all acceptance side effects
@@ -324,27 +317,26 @@ class NodeState:
         if self.in_flight is not None:
             raise RuntimeError("verifier is busy")
         job = self.queue.pop_head()
-        flight = InFlightVerification(
-            job=job,
-            popped_at=now,
-            completes_at=now + self.tau,
-            valid=job.message.signature.valid,
-        )
-        self.in_flight = flight
-        self.busy_until = flight.completes_at
+        self.in_flight = job
+        self.popped_at = now
         if self.audit:
             self.queue.audit()
-        return flight
+        return job
 
-    def finish_verification(self, flight: InFlightVerification) -> VerificationResult:
-        """Apply the revealed signature result at completion time."""
-        if self.in_flight is not flight:
+    def finish_verification(self, job: VerificationJob, *, revoked: bool = False) -> Disposition:
+        """Apply the revealed signature result at completion time.
+
+        With ``revoked`` (the sender was revoked while the check ran) the
+        result is discarded: the job is purged, nothing enters the cache and
+        the caller scans no claims and files no report.
+        """
+        if self.in_flight is not job:
             raise RuntimeError("finishing a verification that is not in flight")
         self.in_flight = None
         self.verifications_completed += 1
-        job = flight.job
-        waiting = flight.popped_at - job.enqueue_time
-        if flight.valid:
+        if revoked:
+            outcome = DispositionKind.PURGED_REVOKED
+        elif job.message.signature.valid:
             outcome = DispositionKind.SIGNATURE_ACCEPTED
             if self.audit and job.digest in self._coop_accepted:
                 raise QueueInvariantError("cooperatively accepted digest re-verified")
@@ -353,25 +345,12 @@ class NodeState:
             outcome = DispositionKind.REJECTED_INVALID
             if self.blacklist_rejected:
                 self.rejected_digests.add(job.digest)
-        disposition = Disposition(
-            outcome=outcome,
-            digest=job.digest,
-            sender=job.message.cam.sender,
-            enqueue_time=job.enqueue_time,
-            leave_queue_time=flight.popped_at,
-            waiting_time=waiting,
-            signature_valid=flight.valid,
-        )
-        return VerificationResult(job=job, valid=flight.valid, disposition=disposition)
+        return Disposition.of(outcome, job, self.popped_at)
 
     # -- cooperative acceptance --------------------------------------------
 
     def apply_claims(
-        self,
-        accepted: SignedCam,
-        claim_digest: Digest80,
-        now: float,
-        rng: Optional[random.Random] = None,
+        self, accepted: SignedCam, claim_digest: Digest80, now: float
     ) -> ClaimApplication:
         """Scan an accepted message's claimed digests over the queue.
 
@@ -381,7 +360,6 @@ class NodeState:
         removed, its waiting ending now.  Digests that are absent or already
         flagged are ignored.
         """
-        rng = rng if rng is not None else self.rng
         claimant = accepted.signature.signer
         result = ClaimApplication([], 0, 0, [])
         for claimed in accepted.cam.claimed_digests:
@@ -390,7 +368,7 @@ class NodeState:
                 if job.b:
                     continue
                 result.matched += 1
-                if rng.random() < self.pr_check:
+                if self.rng.random() < self.pr_check:
                     self.queue.promote(claimed, (claimant, claim_digest))
                     result.spot_checked += 1
                 else:
@@ -398,15 +376,7 @@ class NodeState:
                     if self.audit:
                         self._coop_accepted.add(claimed)
                     result.dispositions.append(
-                        Disposition(
-                            outcome=DispositionKind.COOPERATIVELY_ACCEPTED,
-                            digest=claimed,
-                            sender=job.message.cam.sender,
-                            enqueue_time=job.enqueue_time,
-                            leave_queue_time=now,
-                            waiting_time=now - job.enqueue_time,
-                            signature_valid=job.message.signature.valid,
-                        )
+                        Disposition.of(DispositionKind.COOPERATIVELY_ACCEPTED, job, now)
                     )
             elif self.blacklist_rejected and claimed in self.rejected_digests:
                 result.blacklist_hits.append((claimant, claim_digest, claimed))
@@ -439,33 +409,12 @@ class NodeState:
         purged = self.queue.purge_sender(sender_id)
         if self.audit and purged:
             self.queue.audit()
-        return [
-            Disposition(
-                outcome=DispositionKind.PURGED_REVOKED,
-                digest=j.digest,
-                sender=j.message.cam.sender,
-                enqueue_time=j.enqueue_time,
-                leave_queue_time=now,
-                waiting_time=now - j.enqueue_time,
-                signature_valid=j.message.signature.valid,
-            )
-            for j in purged
-        ]
+        return [Disposition.of(DispositionKind.PURGED_REVOKED, j, now) for j in purged]
 
     def drain_unprocessed(self, now: float) -> List[Disposition]:
         """End-of-run sweep: every still-queued job gets a terminal record."""
         out = []
         while len(self.queue):
             job = self.queue.pop_head()
-            out.append(
-                Disposition(
-                    outcome=DispositionKind.UNPROCESSED_AT_END,
-                    digest=job.digest,
-                    sender=job.message.cam.sender,
-                    enqueue_time=job.enqueue_time,
-                    leave_queue_time=now,
-                    waiting_time=now - job.enqueue_time,
-                    signature_valid=job.message.signature.valid,
-                )
-            )
+            out.append(Disposition.of(DispositionKind.UNPROCESSED_AT_END, job, now))
         return out

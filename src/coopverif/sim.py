@@ -16,16 +16,17 @@ insertion, claim scanning, probabilistic spot checks) and ``baseline``
 from __future__ import annotations
 
 import itertools
+import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from heapq import heappop, heappush
-from math import floor
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import NodeId, Role, SignedCam, compute_digest, encode_signed_cam
-from .engine import Disposition, DispositionKind, NodeState
+from .engine import DispositionKind, NodeState
 from .metrics import MetricsLedger, ReplicationResult, pool_replications
 from .threat import AdversaryConfig, AdversaryDriver, MisbehaviorReport, RevocationRegistry, detect_false_claim
 
@@ -74,18 +75,12 @@ class ScenarioConfig:
             raise ConfigError(f"pr_check must be in [0, 1], got {self.pr_check}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        for name in ("tau", "gamma", "duration", "area_side", "bitrate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.duration <= 0:
-            raise ConfigError(f"duration must be positive, got {self.duration}")
-        if self.area_side <= 0:
-            raise ConfigError(f"area_side must be positive, got {self.area_side}")
-        if self.bitrate <= 0:
-            raise ConfigError(f"bitrate must be positive, got {self.bitrate}")
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ConfigError(f"loss_prob must be in [0, 1], got {self.loss_prob}")
         if self.detection.votes_needed < 1:
@@ -116,8 +111,6 @@ class Event(NamedTuple):
 
 def place_nodes(config: ScenarioConfig, rng: random.Random) -> List[Tuple[float, float]]:
     """Evaluated node at the area centre, the rest i.i.d. uniform."""
-    if config.n_nodes < 1:
-        raise ConfigError("n_nodes must be >= 1")
     side = config.area_side
     positions = [(side / 2.0, side / 2.0)]
     for _ in range(config.n_nodes - 1):
@@ -128,8 +121,8 @@ def place_nodes(config: ScenarioConfig, rng: random.Random) -> List[Tuple[float,
 def beacon_times(phase: float, gamma: float, duration: float) -> Iterator[float]:
     """Generation instants: ``phase + k/gamma`` for every k within the run.
 
-    Computed by index, not by accumulation, so the k-th instant is the same
-    arithmetic the kernel schedules with.
+    Computed by index, not by accumulation; the kernel schedules each benign
+    node's beacons from this iterator.
     """
     k = 0
     while True:
@@ -198,7 +191,6 @@ class SimulationKernel:
         period = 1.0 / config.gamma
         self.nodes: List[NodeState] = []
         self._phase: List[float] = []
-        self._gen_index: List[int] = []
         for i in range(self.total_nodes):
             role = Role.ADVERSARY if i == self.adversary_id else Role.BENIGN
             rng = random.Random(f"{base}:node:{i}")
@@ -215,7 +207,7 @@ class SimulationKernel:
             )
             self.nodes.append(node)
             self._phase.append(rng.uniform(0.0, period) if role is Role.BENIGN else 0.0)
-            self._gen_index.append(0)
+        self._beacons = [beacon_times(p, config.gamma, config.duration) for p in self._phase]
 
         self.driver: Optional[AdversaryDriver] = None
         if self.adversary_id is not None:
@@ -242,7 +234,7 @@ class SimulationKernel:
             if i == self.adversary_id:
                 first = self.driver.next_emission_time()
             else:
-                first = self._phase[i]
+                first = next(self._beacons[i], config.duration)
             if first < config.duration:
                 heappush(self._heap, Event(first, EventKind.CAM_GENERATION, next(self._seq), (i,)))
         heappush(
@@ -259,8 +251,7 @@ class SimulationKernel:
             nxt = self.driver.next_emission_time()
         else:
             frame = self.nodes[node_id].build_own_cam(now)
-            self._gen_index[node_id] += 1
-            nxt = self._phase[node_id] + self._gen_index[node_id] / cfg.gamma
+            nxt = next(self._beacons[node_id], cfg.duration)
         if nxt < cfg.duration:
             heappush(self._heap, Event(nxt, EventKind.CAM_GENERATION, next(self._seq), (node_id,)))
         events, lost = broadcast(
@@ -271,65 +262,43 @@ class SimulationKernel:
             heappush(self._heap, ev)
 
     def _start_verification(self, node: NodeState, now: float) -> None:
-        flight = node.pop_and_verify(now)
+        job = node.pop_and_verify(now)
         heappush(
             self._heap,
             Event(
-                flight.completes_at,
-                EventKind.VERIFICATION_COMPLETE,
-                next(self._seq),
-                (node.node_id.id, flight),
+                now + node.tau, EventKind.VERIFICATION_COMPLETE, next(self._seq),
+                (node.node_id.id, job),
             ),
         )
 
-    def _handle_completion(self, node_id: int, flight, now: float) -> None:
+    def _handle_completion(self, node_id: int, job, now: float) -> None:
         node = self.nodes[node_id]
-        job = flight.job
-        if job.message.cam.sender.id in self.registry.revoked:
-            # Sender revoked while the check ran: the result is discarded,
-            # nothing is accepted and no claims are scanned.
-            node.in_flight = None
-            node.verifications_completed += 1
-            if node_id == 0:
-                self.ledger.busy_time += node.tau
-            self.ledger.record_disposition(
-                node_id,
-                Disposition(
-                    outcome=DispositionKind.PURGED_REVOKED,
-                    digest=job.digest,
-                    sender=job.message.cam.sender,
-                    enqueue_time=job.enqueue_time,
-                    leave_queue_time=flight.popped_at,
-                    waiting_time=flight.popped_at - job.enqueue_time,
-                    signature_valid=flight.valid,
-                ),
-            )
-        else:
-            result = node.finish_verification(flight)
-            if node_id == 0:
-                self.ledger.busy_time += node.tau
-            self.ledger.record_disposition(node_id, result.disposition)
-            if result.valid:
-                if node.cooperative:
-                    app = node.apply_claims(result.job.message, result.job.digest, now)
-                    for disp in app.dispositions:
-                        self.ledger.record_disposition(node_id, disp)
-                    self.ledger.record_claims(node_id, app.matched, app.spot_checked)
-                    if node.node_id.role is Role.BENIGN:
-                        for claimant, claim_digest, bogus_digest in app.blacklist_hits:
-                            self._submit_report(
-                                MisbehaviorReport(
-                                    reporter=node.node_id,
-                                    accused=claimant,
-                                    claim_digest=claim_digest,
-                                    bogus_digest=bogus_digest,
-                                    time=now,
-                                )
+        revoked = job.message.cam.sender.id in self.registry.revoked
+        disp = node.finish_verification(job, revoked=revoked)
+        if node_id == 0:
+            self.ledger.busy_time += node.tau
+        self.ledger.record_disposition(node_id, disp)
+        if disp.outcome is DispositionKind.SIGNATURE_ACCEPTED:
+            if node.cooperative:
+                app = node.apply_claims(job.message, job.digest, now)
+                for accepted in app.dispositions:
+                    self.ledger.record_disposition(node_id, accepted)
+                self.ledger.record_claims(node_id, app.matched, app.spot_checked)
+                if node.node_id.role is Role.BENIGN:
+                    for claimant, claim_digest, bogus_digest in app.blacklist_hits:
+                        self._submit_report(
+                            MisbehaviorReport(
+                                reporter=node.node_id,
+                                accused=claimant,
+                                claim_digest=claim_digest,
+                                bogus_digest=bogus_digest,
+                                time=now,
                             )
-            else:
-                report = detect_false_claim(node.node_id, result, now)
-                if report is not None and node.node_id.role is Role.BENIGN:
-                    self._submit_report(report)
+                        )
+        elif disp.outcome is DispositionKind.REJECTED_INVALID:
+            report = detect_false_claim(node.node_id, job, now)
+            if report is not None and node.node_id.role is Role.BENIGN:
+                self._submit_report(report)
         if len(node.queue):
             self._start_verification(node, now)
 
@@ -354,7 +323,7 @@ class SimulationKernel:
         revoked = self.registry.revoked
         dropped = 0
         pop = heappop
-        last_second = int(floor(cfg.duration))
+        last_second = int(math.floor(cfg.duration))
         next_sample = 0
         samples = self.ledger.queue_len_samples
         delivery = EventKind.FRAME_DELIVERY
@@ -380,8 +349,8 @@ class SimulationKernel:
             elif kind is generation:
                 self._handle_generation(ev.payload[0], t)
             else:
-                nid, flight = ev.payload
-                self._handle_completion(nid, flight, t)
+                nid, job = ev.payload
+                self._handle_completion(nid, job, t)
         while next_sample <= last_second:
             samples.append(len(node0_jobs))
             next_sample += 1
@@ -395,17 +364,14 @@ class SimulationKernel:
         ledger.final_queue_len = len(self.nodes[0].queue)
         for node in self.nodes:
             nid = node.node_id.id
-            flight = node.in_flight
-            if flight is not None:
+            if node.in_flight is not None:
                 # The pop happened inside the run; the check is allowed to
                 # finish (its outcome is already determined), but no claims
                 # or reports fire past the end of the run.
-                result = node.finish_verification(flight)
+                ledger.record_disposition(nid, node.finish_verification(node.in_flight))
                 if nid == 0:
-                    ledger.busy_time += max(
-                        0.0, min(flight.completes_at, cfg.duration) - flight.popped_at
-                    )
-                ledger.record_disposition(nid, result.disposition)
+                    popped = node.popped_at
+                    ledger.busy_time += max(0.0, min(popped + node.tau, cfg.duration) - popped)
             for disp in node.drain_unprocessed(cfg.duration):
                 ledger.record_disposition(nid, disp)
             ledger.receptions[nid] = node.receptions
@@ -421,13 +387,15 @@ def run_scenario(config: ScenarioConfig) -> MetricsLedger:
 def run_replications(config: ScenarioConfig, n_runs: int, workers: int = 1) -> ReplicationResult:
     """Run ``n_runs`` seeds (``seed .. seed+n_runs-1``) and pool the results.
 
-    With ``workers > 1`` the runs execute on a process pool; results are
-    merged in run order either way, so the output is identical.
+    With ``workers > 1`` the runs execute on a process pool of at most
+    ``min(workers, n_runs, cpu count)`` processes; results are merged in run
+    order either way, so the output is identical.
     """
     if n_runs < 1:
         raise ConfigError("n_runs must be >= 1")
     configs = [replace(config, seed=config.seed + i) for i in range(n_runs)]
-    if workers > 1 and n_runs > 1:
+    workers = min(workers, n_runs, os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             ledgers = list(pool.map(run_scenario, configs))
     else:

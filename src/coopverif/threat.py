@@ -12,12 +12,13 @@ its frames dropped at reception and its queued jobs purged everywhere.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from .core import Cam, Digest80, NodeId, Role, Signature, SignedCam, compute_digest
-from .engine import NodeState, VerificationResult
+from .core import Cam, Digest80, NodeId, Role, Signature, SignedCam, VerificationJob, compute_digest
+from .engine import NodeState
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,12 +35,12 @@ class AdversaryConfig:
     start_time: float = 0.0
 
     def validate(self, alpha: int) -> None:
-        if self.gamma_adv <= 0:
-            raise ValueError("gamma_adv must be positive")
+        if not (math.isfinite(self.gamma_adv) and self.gamma_adv > 0):
+            raise ValueError(f"gamma_adv must be positive and finite, got {self.gamma_adv}")
         if not 0 <= self.bogus_per_claim <= alpha:
             raise ValueError("bogus_per_claim must be in [0, alpha]")
-        if self.start_time < 0:
-            raise ValueError("start_time must be >= 0")
+        if not (math.isfinite(self.start_time) and self.start_time >= 0):
+            raise ValueError(f"start_time must be >= 0 and finite, got {self.start_time}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,10 +62,11 @@ class RevocationRegistry:
     """Omniscient vote counter: ``votes_needed`` distinct reporters revoke.
 
     Stands in for a distributed eviction protocol; reports arrive instantly
-    and reliably.  Revocation is permanent within a run.
+    and reliably.  Revocation is permanent within a run.  The reports
+    themselves and the revocation times are kept by the run's ledger.
     """
 
-    __slots__ = ("votes_needed", "reporters", "revoked", "revocation_times", "reports")
+    __slots__ = ("votes_needed", "reporters", "revoked")
 
     def __init__(self, votes_needed: int) -> None:
         if votes_needed < 1:
@@ -72,30 +74,23 @@ class RevocationRegistry:
         self.votes_needed = votes_needed
         self.reporters: Dict[int, Set[int]] = {}
         self.revoked: Set[int] = set()
-        self.revocation_times: Dict[int, float] = {}
-        self.reports: List[MisbehaviorReport] = []
-
-    def is_revoked(self, node_id: int) -> bool:
-        return node_id in self.revoked
 
     def add_report(self, report: MisbehaviorReport) -> bool:
         """Record a report; True when it just triggered a revocation.
 
         Duplicate (reporter, accused) pairs count once toward the threshold.
         """
-        self.reports.append(report)
         accused = report.accused.id
         voters = self.reporters.setdefault(accused, set())
         voters.add(report.reporter.id)
         if accused not in self.revoked and len(voters) >= self.votes_needed:
             self.revoked.add(accused)
-            self.revocation_times[accused] = report.time
             return True
         return False
 
 
 def detect_false_claim(
-    node_id: NodeId, result: VerificationResult, now: float
+    node_id: NodeId, job: VerificationJob, now: float
 ) -> Optional[MisbehaviorReport]:
     """Turn a failed spot check into a report against the claimant.
 
@@ -104,14 +99,14 @@ def detect_false_claim(
     message popped in the ordinary course is rejected without a report:
     there is no claimant to attribute it to.
     """
-    if result.valid or result.job.checked_by is None:
+    if job.message.signature.valid or job.checked_by is None:
         return None
-    claimant, claim_digest = result.job.checked_by
+    claimant, claim_digest = job.checked_by
     return MisbehaviorReport(
         reporter=node_id,
         accused=claimant,
         claim_digest=claim_digest,
-        bogus_digest=result.job.digest,
+        bogus_digest=job.digest,
         time=now,
     )
 
@@ -134,13 +129,9 @@ class AdversaryDriver:
     area_side: float
     emit_index: int = 0
     _cycle_digests: List[Digest80] = field(default_factory=list)
-    claims_sent: int = 0
 
     def next_emission_time(self) -> float:
         return self.config.start_time + self.emit_index / self.config.gamma_adv
-
-    def cycle_period(self) -> float:
-        return (self.alpha + 1) / self.config.gamma_adv
 
     def emit(self, now: float) -> SignedCam:
         pos_in_cycle = self.emit_index % (self.alpha + 1)
@@ -181,5 +172,4 @@ class AdversaryDriver:
             claimed_digests=tuple(claimed),
         )
         self.node.seq += 1
-        self.claims_sent += 1
         return SignedCam(cam=cam, signature=Signature(signer=self.node.node_id, valid=True))

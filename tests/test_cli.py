@@ -136,6 +136,19 @@ class TestRunCommand:
         rc = main(["run", "--config", str(ini), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_non_finite_value_exits_2(self, tmp_path):
+        rc = main(["run", "--out", str(tmp_path / "o"), "--runs", "1", "--set", "gamma=nan"])
+        assert rc == 2
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("internal invariant")
+
+        monkeypatch.setattr("coopverif.cli.run_replications", broken)
+        with pytest.raises(ValueError, match="internal invariant"):
+            main(["run", "--out", str(tmp_path / "o"), "--runs", "1", *SMALL])
+        assert "configuration error" not in capsys.readouterr().err
+
     def test_unwritable_out_exits_3(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -185,6 +198,15 @@ class TestSweepCommand:
         rc = main(["sweep", "--param", "bogosity", "--values", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_every_value_validated_before_any_run(self, tmp_path):
+        out = tmp_path / "sweep"
+        rc = main([
+            "sweep", "--param", "tau", "--values", "0.005,0", "--out", str(out),
+            "--runs", "1", "--set", "n_nodes=3", "--set", "duration=1",
+        ])
+        assert rc == 2
+        assert not (out / "tau=0.005").exists()
+
 
 class TestAnalyzeCommand:
     def test_reference_point(self, tmp_path, capsys):
@@ -224,6 +246,19 @@ class TestAnalyzeCommand:
         rows = read_csv(tmp_path / "analysis.csv")
         value = dict((r[0], r[1]) for r in rows[1:])["pr_reveal"]
         assert value == f"{0.8041228205076918:.9g}"
+
+    @pytest.mark.parametrize(
+        "bad", [["--pr-check", "1.5"], ["--trials", "0"], ["--tau", "0"], ["--tau", "nan"]]
+    )
+    def test_bad_arguments_exit_2_before_computing(self, bad, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("computed before the arguments were checked")
+
+        monkeypatch.setattr("coopverif.cli.pr_reveal", must_not_run)
+        args = ["analyze", "--alpha", "5", "--pr-check", "0.1", "--neighbors", "15",
+                "--votes", "5", "--out", str(tmp_path), *bad]
+        assert main(args) == 2
+        assert not (tmp_path / "analysis.csv").exists()
 
     def test_requested_exposure_count_reported(self, tmp_path):
         main([

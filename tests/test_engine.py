@@ -14,6 +14,7 @@ from coopverif.engine import (
     VerificationQueue,
     VerifiedCache,
 )
+from coopverif.sim import EventKind, ScenarioConfig, SimulationKernel
 
 from test_core import make_message
 
@@ -114,31 +115,55 @@ class TestPopAndVerify:
         node = make_node()
         job = make_job(valid=True, ts=3.5)
         node.receive(job.message, job.digest, now=1.0)
-        flight = node.pop_and_verify(now=1.25)
-        assert flight.completes_at == pytest.approx(1.25 + node.tau)
-        assert node.busy_until == flight.completes_at
-        result = node.finish_verification(flight)
-        assert result.valid
-        assert result.disposition.outcome is DispositionKind.SIGNATURE_ACCEPTED
-        assert job.digest.value == result.disposition.digest.value
-        assert result.disposition.waiting_time == pytest.approx(0.25)
-        assert node.cache.digests() == (result.disposition.digest,)
+        popped = node.pop_and_verify(now=1.25)
+        assert node.in_flight is popped and node.popped_at == 1.25
+        disp = node.finish_verification(popped)
+        assert node.in_flight is None
+        assert disp.signature_valid
+        assert disp.outcome is DispositionKind.SIGNATURE_ACCEPTED
+        assert job.digest.value == disp.digest.value
+        assert disp.waiting_time == pytest.approx(0.25)
+        assert node.cache.digests() == (disp.digest,)
+
+    def test_kernel_completes_tau_after_pop(self):
+        kernel = SimulationKernel(ScenarioConfig(n_nodes=2, duration=1.0))
+        node = kernel.nodes[0]
+        job = make_job()
+        node.receive(job.message, job.digest, now=0.2)
+        kernel._start_verification(node, 0.25)
+        (done,) = [e for e in kernel._heap if e.kind is EventKind.VERIFICATION_COMPLETE]
+        assert done.time == 0.25 + node.tau
+        assert done.payload == (0, node.in_flight)
+
+    def test_revoked_sender_purged_without_side_effects(self):
+        node = make_node(blacklist_rejected=True)
+        for valid in (True, False):
+            job = make_job(valid=valid, seq=int(valid))
+            node.receive(job.message, job.digest, now=0.0)
+            popped = node.pop_and_verify(0.5)
+            with pytest.raises(TypeError):
+                node.finish_verification(popped, True)  # revoked is keyword-only
+            disp = node.finish_verification(popped, revoked=True)
+            assert disp.outcome is DispositionKind.PURGED_REVOKED
+            assert disp.leave_queue_time == 0.5 and disp.signature_valid is valid
+        assert len(node.cache) == 0 and not node.rejected_digests
+        assert node.verifications_completed == 2
 
     def test_invalid_head_rejected_cache_untouched(self):
         node = make_node()
         job = make_job(valid=False)
         node.receive(job.message, job.digest, now=0.0)
-        result = node.finish_verification(node.pop_and_verify(0.1))
-        assert result.disposition.outcome is DispositionKind.REJECTED_INVALID
+        disp = node.finish_verification(node.pop_and_verify(0.1))
+        assert disp.outcome is DispositionKind.REJECTED_INVALID
         assert len(node.cache) == 0
 
     def test_waiting_time_is_enqueue_to_pop(self):
         node = make_node()
         job = make_job()
         node.receive(job.message, job.digest, now=1.000)
-        result = node.finish_verification(node.pop_and_verify(1.250))
-        assert result.disposition.waiting_time == pytest.approx(0.250)
-        assert result.disposition.leave_queue_time == pytest.approx(1.250)
+        disp = node.finish_verification(node.pop_and_verify(1.250))
+        assert disp.waiting_time == pytest.approx(0.250)
+        assert disp.leave_queue_time == pytest.approx(1.250)
 
     def test_verifier_busy_guard(self):
         node = make_node()
@@ -345,10 +370,10 @@ class TestQueueInvariants:
                     if job is not None:
                         live.append(job)
                 elif op == "pop":
-                    flight = node.pop_and_verify(now)
-                    live.remove(flight.job)
-                    assert flight.job.b in (True, False)
-                    node.finish_verification(flight)
+                    popped = node.pop_and_verify(now)
+                    live.remove(popped)
+                    assert popped.b in (True, False)
+                    node.finish_verification(popped)
                 elif op in ("claim_zero", "claim_one"):
                     target = rng.choice(live)
                     claim = make_message(

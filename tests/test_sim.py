@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import os
 import random
 from dataclasses import replace
 
 import pytest
 from scipy import stats
 
+from coopverif import sim
 from coopverif.core import Role
 from coopverif.engine import DispositionKind
 from coopverif.sim import (
@@ -158,6 +160,31 @@ class TestDeterminism:
         par = run_replications(cfg, 3, workers=2)
         assert seq.pooled_waiting == par.pooled_waiting
         assert seq.mean_summary() == par.mean_summary()
+
+    def test_pool_never_exceeds_runs_or_cpus(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        cfg = short_config(n_nodes=2, duration=0.5)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for n_runs, workers in ((3, 64), (3, 2), (6, 64), (3, 1)):
+            run_replications(cfg, n_runs, workers=workers)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        run_replications(cfg, 3, workers=64)
+        assert sizes == [3, 2, 4]
 
 
 class TestConservation:
@@ -328,6 +355,24 @@ class TestConfigValidation:
         cfg = ScenarioConfig(**bad)
         with pytest.raises(ConfigError):
             run_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(tau=math.inf),
+            dict(gamma=math.nan),
+            dict(duration=math.inf),
+            dict(duration=math.nan),
+            dict(area_side=math.nan),
+            dict(bitrate=math.inf),
+            dict(adversary=AdversaryConfig(gamma_adv=math.nan)),
+            dict(adversary=AdversaryConfig(start_time=math.inf)),
+        ],
+    )
+    def test_non_finite_floats_rejected(self, bad):
+        # Through validate() only: a run with duration=inf would never end.
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**bad).validate()
 
     def test_n45_supported(self):
         cfg = ScenarioConfig(n_nodes=45, duration=0.5, seed=1)

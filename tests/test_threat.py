@@ -7,6 +7,7 @@ import pytest
 from coopverif.analytic import DetectionParams, pr_reveal
 from coopverif.core import Digest80, NodeId, Role, compute_digest
 from coopverif.engine import NodeState
+from coopverif.sim import DetectionConfig, ScenarioConfig, SimulationKernel
 from coopverif.threat import (
     AdversaryConfig,
     AdversaryDriver,
@@ -47,12 +48,14 @@ class TestAdversaryEmission:
 
     def test_emission_times_follow_gamma_adv(self):
         driver = make_driver(gamma_adv=10.0, start=2.0)
-        times = []
-        for _ in range(7):
+        times, claim_times = [], []
+        for _ in range(13):
             times.append(driver.next_emission_time())
-            driver.emit(times[-1])
-        assert times == pytest.approx([2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6])
-        assert driver.cycle_period() == pytest.approx(0.6)
+            if driver.emit(times[-1]).signature.valid:
+                claim_times.append(times[-1])
+        assert times[:7] == pytest.approx([2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6])
+        # one claim per alpha + 1 emissions: a cycle period of 0.6 s
+        assert claim_times == pytest.approx([2.5, 3.1])
 
     def test_rates_split_alpha_to_one(self):
         """In 60 emissions at gamma_adv=10 with alpha=5: 50 bogus, 10 claims,
@@ -62,7 +65,6 @@ class TestAdversaryEmission:
         bogus = sum(1 for m in emissions if not m.signature.valid)
         claims = sum(1 for m in emissions if m.signature.valid)
         assert (bogus, claims) == (50, 10)
-        assert driver.claims_sent == 10
 
     def test_reduced_claim_pads_with_genuine_digests(self):
         driver = make_driver(k=2, alpha=5)
@@ -112,26 +114,27 @@ class TestDetectFalseClaim:
         if with_claimant:
             claim = make_message(sender_id=7, ts=1.0, seq=2, digests=[job.digest])
             node.apply_claims(claim, compute_digest(claim), now=1.0)
-        return node, node.finish_verification(node.pop_and_verify(1.5))
+        popped = node.pop_and_verify(1.5)
+        return node, popped, node.finish_verification(popped)
 
     def test_spot_checked_bogus_yields_report(self):
-        node, result = self._spot_checked_result(valid=False)
-        report = detect_false_claim(node.node_id, result, now=1.505)
+        node, job, _ = self._spot_checked_result(valid=False)
+        report = detect_false_claim(node.node_id, job, now=1.505)
         assert report is not None
         assert report.accused == NodeId(7)
         assert report.reporter == node.node_id
-        assert report.bogus_digest == result.job.digest
+        assert report.bogus_digest == job.digest
         assert report.time == pytest.approx(1.505)
 
     def test_spot_checked_valid_yields_none(self):
-        node, result = self._spot_checked_result(valid=True)
-        assert detect_false_claim(node.node_id, result, now=1.505) is None
-        assert result.disposition.outcome.value == "signature_accepted"
+        node, job, disp = self._spot_checked_result(valid=True)
+        assert detect_false_claim(node.node_id, job, now=1.505) is None
+        assert disp.outcome.value == "signature_accepted"
 
     def test_unclaimed_bogus_yields_none(self):
-        node, result = self._spot_checked_result(valid=False, with_claimant=False)
-        assert result.disposition.outcome.value == "rejected_invalid"
-        assert detect_false_claim(node.node_id, result, now=1.505) is None
+        node, job, disp = self._spot_checked_result(valid=False, with_claimant=False)
+        assert disp.outcome.value == "rejected_invalid"
+        assert detect_false_claim(node.node_id, job, now=1.505) is None
 
     def test_self_report_rejected(self):
         with pytest.raises(ValueError):
@@ -154,28 +157,36 @@ class TestRevocationRegistry:
             time=t,
         )
 
+    @staticmethod
+    def _kernel(votes_needed):
+        """A kernel whose ledger logs every report its registry counts."""
+        return SimulationKernel(
+            ScenarioConfig(n_nodes=2, duration=1.0, detection=DetectionConfig(votes_needed))
+        )
+
     def test_five_distinct_reporters_revoke(self):
-        reg = RevocationRegistry(votes_needed=5)
+        kernel = self._kernel(votes_needed=5)
+        reg = kernel.registry
         for i in range(4):
             assert not reg.add_report(self._report(i))
-            assert not reg.is_revoked(99)
-        assert reg.add_report(self._report(4, t=2.5))
-        assert reg.is_revoked(99)
-        assert reg.revocation_times[99] == pytest.approx(2.5)
+            assert 99 not in reg.revoked
+        kernel._submit_report(self._report(4, t=2.5))
+        assert 99 in reg.revoked
+        assert kernel.ledger.revocations == [(99, 2.5)]
 
     def test_duplicate_reporter_counts_once(self):
-        reg = RevocationRegistry(votes_needed=5)
+        kernel = self._kernel(votes_needed=5)
         for _ in range(5):
-            reg.add_report(self._report(1))
-        assert not reg.is_revoked(99)
-        assert len(reg.reports) == 5
+            kernel._submit_report(self._report(1))
+        assert 99 not in kernel.registry.revoked
+        assert len(kernel.ledger.reports) == 5
 
     def test_revocation_permanent_and_not_retriggered(self):
         reg = RevocationRegistry(votes_needed=2)
         reg.add_report(self._report(1))
         assert reg.add_report(self._report(2))
         assert not reg.add_report(self._report(3))  # already revoked
-        assert reg.is_revoked(99)
+        assert 99 in reg.revoked
 
 
 class TestForcedReceptionRevealRate:
@@ -210,12 +221,13 @@ class TestForcedReceptionRevealRate:
             now = 1.0
             while len(node.queue) and node.queue.jobs[0].b:
                 now += node.tau
-                result = node.finish_verification(node.pop_and_verify(now))
-                report = detect_false_claim(node.node_id, result, now + node.tau)
+                job = node.pop_and_verify(now)
+                node.finish_verification(job)
+                report = detect_false_claim(node.node_id, job, now + node.tau)
                 if report is not None:
                     assert report.accused == adversary
                     registry.add_report(report)
-        return registry.is_revoked(99)
+        return 99 in registry.revoked
 
     def test_single_claim_reveal_rate_matches_closed_form(self):
         """Empirical reveal rate under forced full reception lands on the
