@@ -53,8 +53,10 @@ ACCEPTED_KINDS = (
 
 @dataclass(frozen=True, slots=True)
 class Disposition:
-    """One record per received, non-duplicate message.
+    """Ledger row of one received, non-duplicate message.
 
+    Built (by :meth:`MetricsLedger.record_disposition`) only for the nodes
+    whose rows the ledger keeps; the other nodes only count outcomes.
     ``waiting_time`` is the interval from enqueueing to the moment the job
     permanently left the queue: the pop instant for signature-verified jobs
     (the ``tau`` spent verifying is not waiting), or the cooperative
@@ -69,10 +71,6 @@ class Disposition:
     leave_queue_time: float
     waiting_time: float
     signature_valid: bool
-
-    def __post_init__(self) -> None:
-        if self.waiting_time < -1e-12:
-            raise ValueError(f"negative waiting time: {self.waiting_time}")
 
     @classmethod
     def of(cls, outcome: DispositionKind, job: VerificationJob, left_at: float) -> "Disposition":
@@ -178,6 +176,14 @@ class VerificationQueue:
             self.checked_count -= 1
         return job
 
+    def drain(self) -> List[VerificationJob]:
+        """Empty the queue in one step; the jobs come back in queue order."""
+        jobs = self.jobs
+        self.jobs = []
+        self._index = {}
+        self.checked_count = 0
+        return jobs
+
     def purge_sender(self, sender_id: int) -> List[VerificationJob]:
         """Drop every queued job from one sender (revocation cleanup)."""
         purged = [j for j in self.jobs if j.message.cam.sender.id == sender_id]
@@ -246,7 +252,7 @@ class VerifiedCache:
 class ClaimApplication:
     """Effects of scanning one accepted message's claims over the queue."""
 
-    dispositions: List[Disposition]  # cooperative acceptances, claim order
+    accepted_jobs: List[VerificationJob]  # cooperatively accepted, claim order
     matched: int  # queued, unchecked jobs hit by a claim
     spot_checked: int  # matches that drew the check branch
     blacklist_hits: List[Tuple[NodeId, Digest80, Digest80]]  # claimant, claim, bogus
@@ -323,9 +329,10 @@ class NodeState:
             self.queue.audit()
         return job
 
-    def finish_verification(self, job: VerificationJob, *, revoked: bool = False) -> Disposition:
+    def finish_verification(self, job: VerificationJob, *, revoked: bool = False) -> DispositionKind:
         """Apply the revealed signature result at completion time.
 
+        Returns the job's outcome; the job left the queue at ``popped_at``.
         With ``revoked`` (the sender was revoked while the check ran) the
         result is discarded: the job is purged, nothing enters the cache and
         the caller scans no claims and files no report.
@@ -345,20 +352,18 @@ class NodeState:
             outcome = DispositionKind.REJECTED_INVALID
             if self.blacklist_rejected:
                 self.rejected_digests.add(job.digest)
-        return Disposition.of(outcome, job, self.popped_at)
+        return outcome
 
     # -- cooperative acceptance --------------------------------------------
 
-    def apply_claims(
-        self, accepted: SignedCam, claim_digest: Digest80, now: float
-    ) -> ClaimApplication:
+    def apply_claims(self, accepted: SignedCam, claim_digest: Digest80) -> ClaimApplication:
         """Scan an accepted message's claimed digests over the queue.
 
         For each claimed digest, in list order: a queued unchecked job is
         either flagged for a spot check (probability ``pr_check``, recording
         the claimant for later attribution) or accepted cooperatively and
-        removed, its waiting ending now.  Digests that are absent or already
-        flagged are ignored.
+        removed, its waiting ending at the caller's current time.  Digests
+        that are absent or already flagged are ignored.
         """
         claimant = accepted.signature.signer
         result = ClaimApplication([], 0, 0, [])
@@ -375,9 +380,7 @@ class NodeState:
                     self.queue.remove(claimed)
                     if self.audit:
                         self._coop_accepted.add(claimed)
-                    result.dispositions.append(
-                        Disposition.of(DispositionKind.COOPERATIVELY_ACCEPTED, job, now)
-                    )
+                    result.accepted_jobs.append(job)
             elif self.blacklist_rejected and claimed in self.rejected_digests:
                 result.blacklist_hits.append((claimant, claim_digest, claimed))
         if self.audit:
@@ -405,16 +408,13 @@ class NodeState:
 
     # -- revocation support --------------------------------------------------
 
-    def purge_sender(self, sender_id: int, now: float) -> List[Disposition]:
+    def purge_sender(self, sender_id: int) -> List[VerificationJob]:
+        """Drop the revoked sender's queued jobs and return them."""
         purged = self.queue.purge_sender(sender_id)
         if self.audit and purged:
             self.queue.audit()
-        return [Disposition.of(DispositionKind.PURGED_REVOKED, j, now) for j in purged]
+        return purged
 
-    def drain_unprocessed(self, now: float) -> List[Disposition]:
-        """End-of-run sweep: every still-queued job gets a terminal record."""
-        out = []
-        while len(self.queue):
-            job = self.queue.pop_head()
-            out.append(Disposition.of(DispositionKind.UNPROCESSED_AT_END, job, now))
-        return out
+    def drain_unprocessed(self) -> List[VerificationJob]:
+        """End-of-run sweep: hand over every still-queued job, in queue order."""
+        return self.queue.drain()

@@ -1,8 +1,8 @@
 """Per-run measurement ledger and replication-level aggregation.
 
 A run produces one :class:`MetricsLedger`: per-message disposition records
-for the evaluated node (all nodes in audit mode), per-node counters for
-conservation checks, waiting-time samples, a per-second time series, and
+for the evaluated node (every node with ``record_all``), per-node counters
+for conservation checks, waiting-time samples, a per-second time series, and
 the report/revocation event log.  ``summarize`` flattens a ledger into the
 scalar row exported to ``summary.csv``; :func:`pool_replications` merges
 several seeded runs the way the experiments are reported (pooled waiting
@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .core import VerificationJob
 from .engine import ACCEPTED_KINDS, Disposition, DispositionKind
 from .threat import MisbehaviorReport
 
@@ -104,24 +105,35 @@ class MetricsLedger:
 
     # -- recording -----------------------------------------------------------
 
-    def record_disposition(self, node_id: int, disp: Disposition) -> None:
+    def record_disposition(
+        self, node_id: int, outcome: DispositionKind, job: VerificationJob, left_at: float
+    ) -> None:
+        """Count ``job`` leaving ``node_id``'s queue for good at ``left_at``.
+
+        Every node's outcome is counted; a :class:`Disposition` row is built
+        only for the evaluated node, or for every node with ``record_all``.
+        """
+        waiting = left_at - job.enqueue_time
+        if waiting < -1e-12:
+            raise ValueError(f"negative waiting time: {waiting}")
         counts = self.outcome_counts.get(node_id)
         if counts is None:
             counts = self.outcome_counts[node_id] = Counter()
-        counts[disp.outcome] += 1
-        if disp.outcome is DispositionKind.COOPERATIVELY_ACCEPTED and not disp.signature_valid:
+        counts[outcome] += 1
+        if outcome is DispositionKind.COOPERATIVELY_ACCEPTED and not job.message.signature.valid:
             self.bogus_accepted[node_id] = self.bogus_accepted.get(node_id, 0) + 1
         if node_id == self.evaluated_node:
-            if disp.outcome in ACCEPTED_KINDS:
-                self.waiting_samples.append(disp.waiting_time)
-                sec = int(disp.leave_queue_time)
-                self._wait_sum_by_second[sec] = (
-                    self._wait_sum_by_second.get(sec, 0.0) + disp.waiting_time
-                )
+            row = Disposition.of(outcome, job, left_at)
+            if outcome in ACCEPTED_KINDS:
+                # Reuse the row's float: a second copy per sample costs memory.
+                waiting = row.waiting_time
+                self.waiting_samples.append(waiting)
+                sec = int(left_at)
+                self._wait_sum_by_second[sec] = self._wait_sum_by_second.get(sec, 0.0) + waiting
                 self._wait_count_by_second[sec] = self._wait_count_by_second.get(sec, 0) + 1
-            self.records.append((node_id, disp))
+            self.records.append((node_id, row))
         elif self.record_all:
-            self.records.append((node_id, disp))
+            self.records.append((node_id, Disposition.of(outcome, job, left_at)))
 
     def record_claims(self, node_id: int, matched: int, spot_checked: int) -> None:
         self.claims_matched[node_id] = self.claims_matched.get(node_id, 0) + matched

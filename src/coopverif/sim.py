@@ -8,6 +8,11 @@ rates and the verification delay ``tau``, so the kernel's job is exact
 bookkeeping: one run is fully determined by its configuration and seed,
 with event ties broken by (time, event-kind rank, sequence number).
 
+Each transmitted frame is one heap event: its delivery carries the ids of
+every node that receives it, and the kernel hands the frame to them in
+ascending id order.  A run ends by checking that every node gave each of
+its receptions exactly one outcome.
+
 Two verification schemes are wired in: ``cooperative`` (random queue
 insertion, claim scanning, probabilistic spot checks) and ``baseline``
 (verify every message first-come-first-served, no claims).
@@ -25,7 +30,7 @@ from enum import IntEnum
 from heapq import heappop, heappush
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import NodeId, Role, SignedCam, compute_digest, encode_signed_cam
+from .core import Digest80, NodeId, Role, SignedCam, compute_digest, encode_signed_cam
 from .engine import DispositionKind, NodeState
 from .metrics import MetricsLedger, ReplicationResult, pool_replications
 from .threat import AdversaryConfig, AdversaryDriver, MisbehaviorReport, RevocationRegistry, detect_false_claim
@@ -35,6 +40,10 @@ SCHEMES = ("baseline", "cooperative")
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; raised before any simulation work."""
+
+
+class ConservationError(AssertionError):
+    """A node's outcome counts do not add up to its receptions (a kernel bug)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,6 +112,10 @@ class EventKind(IntEnum):
 
 
 class Event(NamedTuple):
+    """One heap entry.  Payloads by kind: ``(node_id,)`` for a generation,
+    ``(receivers, frame, digest)`` for a frame's delivery to all its
+    receivers, ``(node_id, job)`` for a completion, ``()`` for the run end."""
+
     time: float
     kind: EventKind
     seq: int
@@ -145,28 +158,26 @@ def broadcast(
     config: ScenarioConfig,
     total_nodes: int,
     channel_rng: random.Random,
-    seq: "itertools.count[int]",
-) -> Tuple[List[Event], int]:
-    """Delivery events for one transmitted frame.
+) -> Tuple[List[int], float, Digest80]:
+    """Receivers, delivery time and digest of one transmitted frame.
 
     Every node except the sender receives the frame one airtime after
-    ``now``; with ``loss_prob`` set, each delivery is dropped
-    independently.  Returns the events plus the number of losses.
+    ``now``; with ``loss_prob`` set, each delivery is dropped independently
+    (one ``channel_rng`` draw per non-sender, in ascending id order).  The
+    receiver ids come back in ascending order; the caller counts the
+    ``total_nodes - 1 - len(receivers)`` losses.
     """
     encoded = encode_signed_cam(frame)
     digest = compute_digest(frame)
     deliver_at = now + airtime(len(encoded), config.bitrate)
     loss = config.loss_prob
-    events: List[Event] = []
-    lost = 0
-    for rid in range(total_nodes):
-        if rid == sender_id:
-            continue
-        if loss > 0.0 and channel_rng.random() < loss:
-            lost += 1
-            continue
-        events.append(Event(deliver_at, EventKind.FRAME_DELIVERY, next(seq), (rid, frame, digest)))
-    return events, lost
+    if loss > 0.0:
+        draw = channel_rng.random
+        receivers = [rid for rid in range(total_nodes) if rid != sender_id and draw() >= loss]
+    else:
+        receivers = list(range(total_nodes))
+        del receivers[sender_id]
+    return receivers, deliver_at, digest
 
 
 class SimulationKernel:
@@ -254,12 +265,16 @@ class SimulationKernel:
             nxt = next(self._beacons[node_id], cfg.duration)
         if nxt < cfg.duration:
             heappush(self._heap, Event(nxt, EventKind.CAM_GENERATION, next(self._seq), (node_id,)))
-        events, lost = broadcast(
-            frame, node_id, now, cfg, self.total_nodes, self.channel_rng, self._seq
+        receivers, deliver_at, digest = broadcast(
+            frame, node_id, now, cfg, self.total_nodes, self.channel_rng
         )
-        self.ledger.lost_frames += lost
-        for ev in events:
-            heappush(self._heap, ev)
+        self.ledger.lost_frames += self.total_nodes - 1 - len(receivers)
+        if receivers:
+            heappush(
+                self._heap,
+                Event(deliver_at, EventKind.FRAME_DELIVERY, next(self._seq),
+                      (receivers, frame, digest)),
+            )
 
     def _start_verification(self, node: NodeState, now: float) -> None:
         job = node.pop_and_verify(now)
@@ -273,17 +288,20 @@ class SimulationKernel:
 
     def _handle_completion(self, node_id: int, job, now: float) -> None:
         node = self.nodes[node_id]
+        ledger = self.ledger
         revoked = job.message.cam.sender.id in self.registry.revoked
-        disp = node.finish_verification(job, revoked=revoked)
+        outcome = node.finish_verification(job, revoked=revoked)
         if node_id == 0:
-            self.ledger.busy_time += node.tau
-        self.ledger.record_disposition(node_id, disp)
-        if disp.outcome is DispositionKind.SIGNATURE_ACCEPTED:
+            ledger.busy_time += node.tau
+        ledger.record_disposition(node_id, outcome, job, node.popped_at)
+        if outcome is DispositionKind.SIGNATURE_ACCEPTED:
             if node.cooperative:
-                app = node.apply_claims(job.message, job.digest, now)
-                for accepted in app.dispositions:
-                    self.ledger.record_disposition(node_id, accepted)
-                self.ledger.record_claims(node_id, app.matched, app.spot_checked)
+                app = node.apply_claims(job.message, job.digest)
+                for accepted in app.accepted_jobs:
+                    ledger.record_disposition(
+                        node_id, DispositionKind.COOPERATIVELY_ACCEPTED, accepted, now
+                    )
+                ledger.record_claims(node_id, app.matched, app.spot_checked)
                 if node.node_id.role is Role.BENIGN:
                     for claimant, claim_digest, bogus_digest in app.blacklist_hits:
                         self._submit_report(
@@ -295,7 +313,7 @@ class SimulationKernel:
                                 time=now,
                             )
                         )
-        elif disp.outcome is DispositionKind.REJECTED_INVALID:
+        elif outcome is DispositionKind.REJECTED_INVALID:
             report = detect_false_claim(node.node_id, job, now)
             if report is not None and node.node_id.role is Role.BENIGN:
                 self._submit_report(report)
@@ -310,8 +328,10 @@ class SimulationKernel:
     def _apply_revocation(self, accused_id: int, now: float) -> None:
         self.ledger.record_revocation(accused_id, now)
         for node in self.nodes:
-            for disp in node.purge_sender(accused_id, now):
-                self.ledger.record_disposition(node.node_id.id, disp)
+            for job in node.purge_sender(accused_id):
+                self.ledger.record_disposition(
+                    node.node_id.id, DispositionKind.PURGED_REVOKED, job, now
+                )
 
     # -- main loop -------------------------------------------------------------
 
@@ -339,13 +359,16 @@ class SimulationKernel:
                 samples.append(len(node0_jobs))
                 next_sample += 1
             if kind is delivery:
-                rid, frame, digest = ev.payload
+                receivers, frame, digest = ev.payload
                 if frame.cam.sender.id in revoked:
-                    dropped += 1
+                    dropped += len(receivers)
                     continue
-                node = nodes[rid]
-                if node.receive(frame, digest, t) is not None and node.in_flight is None:
-                    self._start_verification(node, t)
+                # Nothing can pop between one frame's deliveries: whatever
+                # a reception schedules lands at t + tau or at a later kind.
+                for rid in receivers:
+                    node = nodes[rid]
+                    if node.receive(frame, digest, t) is not None and node.in_flight is None:
+                        self._start_verification(node, t)
             elif kind is generation:
                 self._handle_generation(ev.payload[0], t)
             else:
@@ -364,19 +387,25 @@ class SimulationKernel:
         ledger.final_queue_len = len(self.nodes[0].queue)
         for node in self.nodes:
             nid = node.node_id.id
-            if node.in_flight is not None:
+            job = node.in_flight
+            if job is not None:
                 # The pop happened inside the run; the check is allowed to
                 # finish (its outcome is already determined), but no claims
                 # or reports fire past the end of the run.
-                ledger.record_disposition(nid, node.finish_verification(node.in_flight))
+                popped = node.popped_at
+                ledger.record_disposition(nid, node.finish_verification(job), job, popped)
                 if nid == 0:
-                    popped = node.popped_at
                     ledger.busy_time += max(0.0, min(popped + node.tau, cfg.duration) - popped)
-            for disp in node.drain_unprocessed(cfg.duration):
-                ledger.record_disposition(nid, disp)
+            for job in node.drain_unprocessed():
+                ledger.record_disposition(nid, DispositionKind.UNPROCESSED_AT_END, job, cfg.duration)
             ledger.receptions[nid] = node.receptions
             ledger.duplicates[nid] = node.queue.duplicates_dropped
             ledger.verifications_completed[nid] = node.verifications_completed
+            outcomes = sum(ledger.node_counts(nid).values())
+            if outcomes != node.receptions:
+                raise ConservationError(
+                    f"node {nid}: {node.receptions} receptions but {outcomes} outcomes"
+                )
 
 
 def run_scenario(config: ScenarioConfig) -> MetricsLedger:

@@ -7,6 +7,7 @@ from scipy import stats
 
 from coopverif.core import Digest80, NodeId, compute_digest
 from coopverif.engine import (
+    Disposition,
     DispositionKind,
     NodeState,
     QueueInvariantError,
@@ -14,6 +15,7 @@ from coopverif.engine import (
     VerificationQueue,
     VerifiedCache,
 )
+from coopverif.metrics import MetricsLedger
 from coopverif.sim import EventKind, ScenarioConfig, SimulationKernel
 
 from test_core import make_message
@@ -46,6 +48,14 @@ def make_node(
 def make_job(sender_id=1, seq=0, valid=True, ts=0.0, enqueue=0.0):
     msg = make_message(sender_id=sender_id, seq=seq, valid=valid, ts=ts)
     return VerificationJob(message=msg, digest=compute_digest(msg), enqueue_time=enqueue)
+
+
+def ledger_row(outcome, job, left_at) -> Disposition:
+    """The row a ledger keeps for ``job`` leaving node 0's queue at ``left_at``."""
+    ledger = MetricsLedger(seed=0, scheme="cooperative", duration=10.0)
+    ledger.record_disposition(0, outcome, job, left_at)
+    ((_, disp),) = ledger.records
+    return disp
 
 
 class TestRandomInsertion:
@@ -117,10 +127,11 @@ class TestPopAndVerify:
         node.receive(job.message, job.digest, now=1.0)
         popped = node.pop_and_verify(now=1.25)
         assert node.in_flight is popped and node.popped_at == 1.25
-        disp = node.finish_verification(popped)
+        outcome = node.finish_verification(popped)
         assert node.in_flight is None
+        assert outcome is DispositionKind.SIGNATURE_ACCEPTED
+        disp = ledger_row(outcome, popped, node.popped_at)
         assert disp.signature_valid
-        assert disp.outcome is DispositionKind.SIGNATURE_ACCEPTED
         assert job.digest.value == disp.digest.value
         assert disp.waiting_time == pytest.approx(0.25)
         assert node.cache.digests() == (disp.digest,)
@@ -143,8 +154,9 @@ class TestPopAndVerify:
             popped = node.pop_and_verify(0.5)
             with pytest.raises(TypeError):
                 node.finish_verification(popped, True)  # revoked is keyword-only
-            disp = node.finish_verification(popped, revoked=True)
-            assert disp.outcome is DispositionKind.PURGED_REVOKED
+            outcome = node.finish_verification(popped, revoked=True)
+            assert outcome is DispositionKind.PURGED_REVOKED
+            disp = ledger_row(outcome, popped, node.popped_at)
             assert disp.leave_queue_time == 0.5 and disp.signature_valid is valid
         assert len(node.cache) == 0 and not node.rejected_digests
         assert node.verifications_completed == 2
@@ -153,15 +165,16 @@ class TestPopAndVerify:
         node = make_node()
         job = make_job(valid=False)
         node.receive(job.message, job.digest, now=0.0)
-        disp = node.finish_verification(node.pop_and_verify(0.1))
-        assert disp.outcome is DispositionKind.REJECTED_INVALID
+        outcome = node.finish_verification(node.pop_and_verify(0.1))
+        assert outcome is DispositionKind.REJECTED_INVALID
         assert len(node.cache) == 0
 
     def test_waiting_time_is_enqueue_to_pop(self):
         node = make_node()
         job = make_job()
         node.receive(job.message, job.digest, now=1.000)
-        disp = node.finish_verification(node.pop_and_verify(1.250))
+        popped = node.pop_and_verify(1.250)
+        disp = ledger_row(node.finish_verification(popped), popped, node.popped_at)
         assert disp.waiting_time == pytest.approx(0.250)
         assert disp.leave_queue_time == pytest.approx(1.250)
 
@@ -185,11 +198,12 @@ class TestApplyClaims:
         job = make_job(valid=True)
         node.receive(job.message, job.digest, now=1.0)
         claim = self._claim_for([job])
-        app = node.apply_claims(claim, compute_digest(claim), now=2.0)
+        app = node.apply_claims(claim, compute_digest(claim))
         assert app.matched == 1 and app.spot_checked == 0
         assert len(node.queue) == 0
-        (disp,) = app.dispositions
-        assert disp.outcome is DispositionKind.COOPERATIVELY_ACCEPTED
+        (accepted,) = app.accepted_jobs
+        assert accepted.digest == job.digest
+        disp = ledger_row(DispositionKind.COOPERATIVELY_ACCEPTED, accepted, 2.0)
         assert disp.waiting_time == pytest.approx(1.0)
 
     def test_pr_check_one_forces_spot_check(self):
@@ -200,9 +214,9 @@ class TestApplyClaims:
         job = node.receive(template.message, template.digest, now=1.0)
         claim = self._claim_for([job])
         claim_digest = compute_digest(claim)
-        app = node.apply_claims(claim, claim_digest, now=2.0)
+        app = node.apply_claims(claim, claim_digest)
         assert app.matched == 1 and app.spot_checked == 1
-        assert not app.dispositions
+        assert not app.accepted_jobs
         assert job.b is True
         assert job.checked_by == (NodeId(9), claim_digest)
         # moved to the head: right after the (empty) checked prefix
@@ -213,9 +227,9 @@ class TestApplyClaims:
         node = make_node(pr_check=1.0)
         ghost = make_job(seq=77)
         claim = self._claim_for([ghost])
-        app = node.apply_claims(claim, compute_digest(claim), now=1.0)
+        app = node.apply_claims(claim, compute_digest(claim))
         assert app.matched == 0 and app.spot_checked == 0
-        assert not app.dispositions
+        assert not app.accepted_jobs
 
     def test_checked_job_not_rematched_and_no_coin_drawn(self):
         class CountingRandom(random.Random):
@@ -230,11 +244,11 @@ class TestApplyClaims:
         template = make_job(seq=5)
         job = node.receive(template.message, template.digest, now=0.0)
         claim = self._claim_for([job])
-        node.apply_claims(claim, compute_digest(claim), now=1.0)
+        node.apply_claims(claim, compute_digest(claim))
         assert job.b is True
         calls_after_first = CountingRandom.calls
         second = self._claim_for([job], claimant_id=8, ts=11.0)
-        app = node.apply_claims(second, compute_digest(second), now=1.5)
+        app = node.apply_claims(second, compute_digest(second))
         assert app.matched == 0
         assert CountingRandom.calls == calls_after_first  # no draw on b=1
         assert job.checked_by[0] == NodeId(9)  # first claimant retained
@@ -245,8 +259,8 @@ class TestApplyClaims:
         for i, j in enumerate(jobs):
             node.receive(j.message, j.digest, now=float(i))
         claim = self._claim_for(jobs)
-        app = node.apply_claims(claim, compute_digest(claim), now=5.0)
-        assert [d.digest for d in app.dispositions] == [j.digest for j in jobs]
+        app = node.apply_claims(claim, compute_digest(claim))
+        assert [j.digest for j in app.accepted_jobs] == [j.digest for j in jobs]
 
     def test_spot_check_fraction_tracks_pr_check(self):
         """Across 10^5 matched claims, the checked fraction lands within 1%
@@ -259,7 +273,7 @@ class TestApplyClaims:
             template = make_job(sender_id=4, seq=i)
             job = node.receive(template.message, template.digest, now=0.0)
             claim = self._claim_for([job], ts=float(i + 1))
-            app = node.apply_claims(claim, compute_digest(claim), now=1.0)
+            app = node.apply_claims(claim, compute_digest(claim))
             checked += app.spot_checked
             if job.b:
                 node.finish_verification(node.pop_and_verify(2.0))
@@ -381,13 +395,13 @@ class TestQueueInvariants:
                     )
                     seq += 1
                     node.pr_check = 0.0 if op == "claim_zero" else 1.0
-                    app = node.apply_claims(claim, compute_digest(claim), now)
-                    if app.dispositions:
+                    app = node.apply_claims(claim, compute_digest(claim))
+                    if app.accepted_jobs:
                         live.remove(target)
                 elif op == "purge":
                     victim = rng.randint(1, 4)
-                    for disp in node.purge_sender(victim, now):
-                        live = [j for j in live if j.digest != disp.digest]
+                    for purged in node.purge_sender(victim):
+                        live = [j for j in live if j.digest != purged.digest]
                 node.queue.audit()
             assert len(node.queue) == len(live)
 
@@ -396,7 +410,7 @@ class TestQueueInvariants:
         template = make_job()
         job = node.receive(template.message, template.digest, now=0.0)
         claim = make_message(sender_id=9, ts=1.0, digests=[job.digest])
-        node.apply_claims(claim, compute_digest(claim), now=1.0)
+        node.apply_claims(claim, compute_digest(claim))
         assert job.b
         with pytest.raises(QueueInvariantError):
             node.queue.promote(job.digest, (NodeId(8), job.digest))
@@ -406,7 +420,7 @@ class TestQueueInvariants:
         job = make_job()
         node.receive(job.message, job.digest, now=0.0)
         claim = make_message(sender_id=9, ts=1.0, digests=[job.digest])
-        node.apply_claims(claim, compute_digest(claim), now=1.0)
+        node.apply_claims(claim, compute_digest(claim))
         # the same digest showing up for signature verification again would
         # mean a duplicate slipped in; the audit must catch it
         twin = VerificationJob(message=job.message, digest=job.digest, enqueue_time=2.0)

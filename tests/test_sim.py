@@ -1,6 +1,5 @@
 """Kernel tests: placement, beaconing, channel timing, scheme behaviour."""
 
-import itertools
 import math
 import os
 import random
@@ -10,11 +9,13 @@ import pytest
 from scipy import stats
 
 from coopverif import sim
-from coopverif.core import Role
+from coopverif.core import Role, VerificationJob, compute_digest
 from coopverif.engine import DispositionKind
+from coopverif.metrics import MetricsLedger
 from coopverif.sim import (
     AdversaryConfig,
     ConfigError,
+    ConservationError,
     DetectionConfig,
     EventKind,
     ScenarioConfig,
@@ -113,20 +114,55 @@ class TestChannelTiming:
     def test_broadcast_reaches_everyone_but_sender(self):
         cfg = ScenarioConfig(n_nodes=6)
         msg = make_message(sender_id=2)
-        events, lost = broadcast(msg, 2, 1.0, cfg, 6, random.Random(0), itertools.count())
+        receivers, deliver_at, digest = broadcast(msg, 2, 1.0, cfg, 6, random.Random(0))
+        lost = 6 - 1 - len(receivers)
         assert lost == 0
-        assert len(events) == 5
-        receivers = {e.payload[0] for e in events}
-        assert receivers == {0, 1, 3, 4, 5}
-        for e in events:
-            assert e.kind is EventKind.FRAME_DELIVERY
-            assert e.time == pytest.approx(1.0 + 400e-6)
+        assert len(receivers) == 5
+        assert receivers == sorted(receivers)
+        assert set(receivers) == {0, 1, 3, 4, 5}
+        assert deliver_at == pytest.approx(1.0 + 400e-6)
+        assert digest == compute_digest(msg)
 
     def test_full_loss_drops_every_delivery(self):
         cfg = ScenarioConfig(n_nodes=6, loss_prob=1.0)
         msg = make_message(sender_id=0)
-        events, lost = broadcast(msg, 0, 1.0, cfg, 6, random.Random(0), itertools.count())
-        assert events == [] and lost == 5
+        receivers, _, _ = broadcast(msg, 0, 1.0, cfg, 6, random.Random(0))
+        lost = 6 - 1 - len(receivers)
+        assert receivers == [] and lost == 5
+
+
+class TestFanOut:
+    @staticmethod
+    def _deliveries(kernel):
+        return [e for e in kernel._heap if e.kind is EventKind.FRAME_DELIVERY]
+
+    def test_one_delivery_event_per_generation(self):
+        kernel = SimulationKernel(ScenarioConfig(n_nodes=12, duration=1.0, loss_prob=0.5, seed=4))
+        before = len(kernel._heap)
+        kernel._handle_generation(3, 0.05)
+        (delivery,) = self._deliveries(kernel)
+        assert len(kernel._heap) == before + 2  # the delivery and node 3's next beacon
+        receivers, frame, digest = delivery.payload
+        assert 0 < len(receivers) < 11 and 3 not in receivers
+        assert receivers == sorted(receivers)
+        assert len(receivers) + kernel.ledger.lost_frames == 12 - 1
+        assert digest == compute_digest(frame)
+
+    def test_fully_lost_frame_pushes_no_delivery(self):
+        kernel = SimulationKernel(ScenarioConfig(n_nodes=5, duration=1.0, loss_prob=1.0))
+        kernel._handle_generation(0, 0.05)
+        assert self._deliveries(kernel) == []
+        assert kernel.ledger.lost_frames == 4
+
+    def test_frame_from_revoked_sender_dropped_at_every_receiver(self):
+        cfg = ScenarioConfig(n_nodes=5, duration=0.2, seed=3, record_all_nodes=True)
+        kernel = SimulationKernel(cfg)
+        kernel.registry.revoked.add(2)
+        ledger = kernel.run()
+        frames = len(list(beacon_times(kernel._phase[2], cfg.gamma, cfg.duration)))
+        assert frames > 0
+        assert ledger.dropped_revoked_frames == 4 * frames
+        assert ledger.records and all(d.sender.id != 2 for _, d in ledger.records)
 
 
 class TestDeterminism:
@@ -221,6 +257,46 @@ class TestConservation:
         ledger = run_scenario(short_config(record_all_nodes=True))
         for _, disp in ledger.records:
             assert disp.leave_queue_time >= disp.enqueue_time - 1e-12
+
+    def test_dropped_outcome_fails_the_run(self, monkeypatch):
+        record = MetricsLedger.record_disposition
+        dropped = []
+
+        def drop_first(ledger, node_id, outcome, job, left_at):
+            if not dropped and node_id == 2:
+                dropped.append(job)
+                return
+            record(ledger, node_id, outcome, job, left_at)
+
+        monkeypatch.setattr(MetricsLedger, "record_disposition", drop_first)
+        with pytest.raises(ConservationError, match="node 2") as caught:
+            run_scenario(short_config())
+        assert dropped
+        # An internal fault: the CLI must not turn it into exit code 2.
+        assert not isinstance(caught.value, ConfigError)
+
+
+class TestLazyRecords:
+    def test_rows_for_every_node_change_no_count(self):
+        cfg = short_config(n_nodes=8, duration=5.0, tau=0.02, loss_prob=0.2, seed=31,
+                           adversary=AdversaryConfig(), detection=DetectionConfig(votes_needed=2))
+        lean = run_scenario(cfg)
+        full = run_scenario(replace(cfg, record_all_nodes=True))
+        assert full.revocations and full.bogus_accepted  # the attack did happen
+        assert lean.outcome_counts == full.outcome_counts
+        assert lean.bogus_accepted == full.bogus_accepted
+        assert lean.receptions == full.receptions
+        assert lean.records == [row for row in full.records if row[0] == 0]
+        assert {nid for nid, _ in lean.records} == {0}
+        assert len(full.records) == sum(full.receptions.values())
+
+    def test_negative_waiting_raises_for_a_node_without_rows(self):
+        ledger = MetricsLedger(seed=0, scheme="cooperative", duration=1.0)
+        msg = make_message(sender_id=1)
+        job = VerificationJob(message=msg, digest=compute_digest(msg), enqueue_time=0.5)
+        with pytest.raises(ValueError, match="negative waiting"):
+            ledger.record_disposition(3, DispositionKind.SIGNATURE_ACCEPTED, job, 0.25)
+        assert not ledger.outcome_counts and not ledger.records
 
 
 class TestSchemes:

@@ -113,7 +113,7 @@ class TestDetectFalseClaim:
         job = node.receive(template, compute_digest(template), now=0.0)
         if with_claimant:
             claim = make_message(sender_id=7, ts=1.0, seq=2, digests=[job.digest])
-            node.apply_claims(claim, compute_digest(claim), now=1.0)
+            node.apply_claims(claim, compute_digest(claim))
         popped = node.pop_and_verify(1.5)
         return node, popped, node.finish_verification(popped)
 
@@ -127,13 +127,13 @@ class TestDetectFalseClaim:
         assert report.time == pytest.approx(1.505)
 
     def test_spot_checked_valid_yields_none(self):
-        node, job, disp = self._spot_checked_result(valid=True)
+        node, job, outcome = self._spot_checked_result(valid=True)
         assert detect_false_claim(node.node_id, job, now=1.505) is None
-        assert disp.outcome.value == "signature_accepted"
+        assert outcome.value == "signature_accepted"
 
     def test_unclaimed_bogus_yields_none(self):
-        node, job, disp = self._spot_checked_result(valid=False, with_claimant=False)
-        assert disp.outcome.value == "rejected_invalid"
+        node, job, outcome = self._spot_checked_result(valid=False, with_claimant=False)
+        assert outcome.value == "rejected_invalid"
         assert detect_false_claim(node.node_id, job, now=1.505) is None
 
     def test_self_report_rejected(self):
@@ -217,7 +217,7 @@ class TestForcedReceptionRevealRate:
             )
             for i, m in enumerate(bogus):
                 node.receive(m, digests[i], now=0.1 * i)
-            node.apply_claims(claim, claim_digest, now=1.0)
+            node.apply_claims(claim, claim_digest)
             now = 1.0
             while len(node.queue) and node.queue.jobs[0].b:
                 now += node.tau
