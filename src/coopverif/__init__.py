@@ -5,103 +5,25 @@ Simulator and analytic toolkit for a scheme where each beacon carries
 receivers accept claimed messages without re-verifying, spot-check a
 random subset to catch false claims, and revoke claimants caught vouching
 for invalid messages.
+
+The package root exports the entry points of the README's library example;
+everything else is imported from its module (``coopverif.sim``,
+``coopverif.engine``, ...).
 """
 
-from .analytic import (
-    DetectionParams,
-    MonteCarloEstimate,
-    baseline_saturation,
-    monte_carlo_reveal,
-    pr_reveal,
-    pr_reveal_after_n,
-    pr_skip,
-)
-from .core import (
-    Cam,
-    Digest80,
-    NodeId,
-    Role,
-    Signature,
-    SignedCam,
-    VerificationJob,
-    compute_digest,
-    encode_signed_cam,
-    encoded_length,
-)
-from .engine import (
-    Disposition,
-    DispositionKind,
-    NodeState,
-    VerificationQueue,
-    VerifiedCache,
-)
-from .metrics import MetricsLedger, ReplicationResult, pool_replications, quantile
-from .sim import (
-    ConfigError,
-    DetectionConfig,
-    Event,
-    EventKind,
-    ScenarioConfig,
-    SimulationKernel,
-    airtime,
-    beacon_times,
-    broadcast,
-    place_nodes,
-    run_replications,
-    run_scenario,
-)
-from .threat import (
-    AdversaryConfig,
-    AdversaryDriver,
-    MisbehaviorReport,
-    RevocationRegistry,
-    detect_false_claim,
-)
+from .analytic import DetectionParams, monte_carlo_reveal, pr_reveal, pr_skip
+from .sim import AdversaryConfig, DetectionConfig, ScenarioConfig, run_replications, run_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdversaryConfig",
-    "AdversaryDriver",
-    "Cam",
-    "ConfigError",
     "DetectionConfig",
     "DetectionParams",
-    "Digest80",
-    "Disposition",
-    "DispositionKind",
-    "Event",
-    "EventKind",
-    "MetricsLedger",
-    "MisbehaviorReport",
-    "MonteCarloEstimate",
-    "NodeId",
-    "NodeState",
-    "ReplicationResult",
-    "RevocationRegistry",
-    "Role",
     "ScenarioConfig",
-    "Signature",
-    "SignedCam",
-    "SimulationKernel",
-    "VerificationJob",
-    "VerificationQueue",
-    "VerifiedCache",
-    "airtime",
-    "baseline_saturation",
-    "beacon_times",
-    "broadcast",
-    "compute_digest",
-    "detect_false_claim",
-    "encode_signed_cam",
-    "encoded_length",
     "monte_carlo_reveal",
-    "place_nodes",
-    "pool_replications",
     "pr_reveal",
-    "pr_reveal_after_n",
     "pr_skip",
-    "quantile",
     "run_replications",
     "run_scenario",
 ]

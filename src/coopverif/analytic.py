@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# Most uniform doubles the Monte Carlo draws in one batch (12 MB).
+DRAWS = 1_500_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,7 +154,6 @@ def monte_carlo_reveal(
     params: DetectionParams,
     trials: int,
     rng: np.random.Generator,
-    chunk: int = 20_000,
 ) -> MonteCarloEstimate:
     """Estimate the single-claim reveal probability by direct sampling.
 
@@ -161,11 +162,15 @@ def monte_carlo_reveal(
     detects if any coin succeeds, and the trial reveals if at least
     ``votes_needed`` receivers detect.  Deliberately does not reuse the
     closed forms above, so it can serve as their independent check.
-    Returns the sample fraction with a 95% Wilson interval.
+    Returns the sample fraction with a 95% Wilson interval.  Trials run in
+    batches of at most ``DRAWS`` coins (a single trial if it needs more);
+    the generator fills them from one stream, so the estimate does not
+    depend on the batch size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, a, v = params.n_neighbors, params.alpha, params.votes_needed
+    chunk = max(1, DRAWS // (n * a))
     successes = 0
     done = 0
     while done < trials:

@@ -55,9 +55,12 @@ def _keys(cls) -> Dict[str, type]:
     }
 
 
-_SCENARIO_KEYS = _keys(ScenarioConfig)
-_ADVERSARY_KEYS = _keys(AdversaryConfig)
-_DETECTION_KEYS = _keys(DetectionConfig)
+# The config schema: each section's keys, in the order files are written.
+_SECTIONS = {
+    "scenario": _keys(ScenarioConfig),
+    "adversary": _keys(AdversaryConfig),
+    "detection": _keys(DetectionConfig),
+}
 
 # Sweepable parameter names as used on the command line.
 _SWEEP_PARAMS = {
@@ -106,11 +109,13 @@ def _find_line(path: Optional[Path], key: str) -> str:
 def load_config(
     path: Optional[Path], overrides: Sequence[str] = (), seed: Optional[int] = None
 ) -> ScenarioConfig:
-    """Build a ScenarioConfig from an INI file plus --set overrides."""
-    scenario: Dict[str, object] = {}
-    adversary: Dict[str, object] = {}
-    detection: Dict[str, object] = {}
-    adversary_enabled = False
+    """Build a ScenarioConfig from an INI file plus --set overrides.
+
+    The adversary is enabled exactly when its section appears, in the file
+    or in an override.
+    """
+    # Section -> key -> value, for the sections given.
+    values: Dict[str, Dict[str, object]] = {}
 
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -122,15 +127,10 @@ def load_config(
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file: {exc}") from exc
         for section in parser.sections():
-            if section == "scenario":
-                keys, into = _SCENARIO_KEYS, scenario
-            elif section == "adversary":
-                keys, into = _ADVERSARY_KEYS, adversary
-                adversary_enabled = True
-            elif section == "detection":
-                keys, into = _DETECTION_KEYS, detection
-            else:
+            keys = _SECTIONS.get(section)
+            if keys is None:
                 raise ConfigError(f"unknown config section [{section}] in {path}")
+            into = values.setdefault(section, {})
             for key, raw in parser.items(section):
                 if key not in keys:
                     raise ConfigError(
@@ -146,23 +146,19 @@ def load_config(
         section, _, subkey = key.partition(".")
         if not subkey:
             section, subkey = "scenario", key
-        if section == "scenario" and subkey in _SCENARIO_KEYS:
-            scenario[subkey] = _convert(key, raw, _SCENARIO_KEYS[subkey])
-        elif section == "adversary" and subkey in _ADVERSARY_KEYS:
-            adversary[subkey] = _convert(key, raw, _ADVERSARY_KEYS[subkey])
-            adversary_enabled = True
-        elif section == "detection" and subkey in _DETECTION_KEYS:
-            detection[subkey] = _convert(key, raw, _DETECTION_KEYS[subkey])
-        else:
+        keys = _SECTIONS.get(section, {})
+        if subkey not in keys:
             raise ConfigError(f"unknown override key {key!r}")
+        values.setdefault(section, {})[subkey] = _convert(key, raw, keys[subkey])
 
+    scenario = values.get("scenario", {})
     if seed is not None:
         scenario["seed"] = seed
 
     try:
         config = ScenarioConfig(
-            adversary=AdversaryConfig(**adversary) if adversary_enabled else None,
-            detection=DetectionConfig(**detection),
+            adversary=AdversaryConfig(**values["adversary"]) if "adversary" in values else None,
+            detection=DetectionConfig(**values.get("detection", {})),
             **scenario,
         )
         config.validate()
@@ -180,6 +176,15 @@ def _fmt(value: object) -> str:
             return ""
         return f"{value:.9g}"
     return str(value)
+
+
+def _fmt_exact(value: object) -> str:
+    """Like ``_fmt``, but a float that 9 digits do not reproduce is written
+    in full, so the text reads back to the same value."""
+    text = _fmt(value)
+    if isinstance(value, float) and text and float(text) != value:
+        return repr(value)
+    return text
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -261,19 +266,13 @@ def export_replication(result: ReplicationResult, out_dir: Path) -> None:
 
 
 def _write_effective_config(config: ScenarioConfig, n_runs: int, out_dir: Path) -> None:
-    lines = ["[scenario]"]
-    for key in _SCENARIO_KEYS:
-        lines.append(f"{key} = {_fmt(getattr(config, key))}")
-    if config.adversary is not None:
-        lines.append("")
-        lines.append("[adversary]")
-        for key in _ADVERSARY_KEYS:
-            lines.append(f"{key} = {_fmt(getattr(config.adversary, key))}")
-    lines.append("")
-    lines.append("[detection]")
-    for key in _DETECTION_KEYS:
-        lines.append(f"{key} = {_fmt(getattr(config.detection, key))}")
-    lines.append("")
+    lines = []
+    for section, keys in _SECTIONS.items():
+        settings = config if section == "scenario" else getattr(config, section)
+        if settings is not None:
+            lines.append(f"[{section}]")
+            lines.extend(f"{key} = {_fmt_exact(getattr(settings, key))}" for key in keys)
+            lines.append("")
     lines.append(f"; replications: {n_runs}")
     (out_dir / "effective_config.ini").write_text("\n".join(lines) + "\n")
 
@@ -307,10 +306,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_value_label(value: object) -> str:
-    return _fmt(value) if not isinstance(value, str) else value
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.param not in _SWEEP_PARAMS:
         raise ConfigError(
@@ -320,18 +315,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [v for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if args.runs < 1:
+        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
     # Every swept config is loaded, and so validated, before any run.
     configs = [
         load_config(args.config, [*args.set, f"{field_name}={v}"], args.seed) for v in values
     ]
+    labels = [_fmt_exact(getattr(config, field_name)) for config in configs]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"sweep values repeat: {', '.join(repeated)}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     quantile_grid = [round(q / 100.0, 2) for q in range(0, 101)]
     combined_rows: List[List[object]] = []
-    for config in configs:
+    for config, label in zip(configs, labels):
         result = run_replications(config, args.runs, workers=_workers())
-        label = _sweep_value_label(getattr(config, field_name))
         sub = out_dir / f"{args.param}={label}"
         export_replication(result, sub)
         _write_effective_config(config, args.runs, sub)
@@ -349,6 +349,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     try:
         params = DetectionParams(
             alpha=args.alpha,

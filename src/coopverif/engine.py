@@ -51,17 +51,16 @@ ACCEPTED_KINDS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Disposition:
     """Ledger row of one received, non-duplicate message.
 
     Built (by :meth:`MetricsLedger.record_disposition`) only for the nodes
     whose rows the ledger keeps; the other nodes only count outcomes.
-    ``waiting_time`` is the interval from enqueueing to the moment the job
-    permanently left the queue: the pop instant for signature-verified jobs
-    (the ``tau`` spent verifying is not waiting), or the cooperative
-    acceptance instant.  A spot-checked job keeps waiting until its final
-    pop.
+    ``leave_queue_time`` is the moment the job permanently left the queue:
+    the pop instant for signature-verified jobs (the ``tau`` spent verifying
+    is not waiting), or the cooperative acceptance instant.  A spot-checked
+    job keeps waiting until its final pop.
     """
 
     outcome: DispositionKind
@@ -69,7 +68,6 @@ class Disposition:
     sender: NodeId
     enqueue_time: float
     leave_queue_time: float
-    waiting_time: float
     signature_valid: bool
 
     @classmethod
@@ -81,9 +79,13 @@ class Disposition:
             job.message.cam.sender,
             job.enqueue_time,
             left_at,
-            left_at - job.enqueue_time,
             job.message.signature.valid,
         )
+
+    @property
+    def waiting_time(self) -> float:
+        """Interval from enqueueing to leaving the queue for good."""
+        return self.leave_queue_time - self.enqueue_time
 
 
 class QueueInvariantError(AssertionError):
@@ -107,9 +109,6 @@ class VerificationQueue:
 
     def __len__(self) -> int:
         return len(self.jobs)
-
-    def __contains__(self, digest: Digest80) -> bool:
-        return digest.value in self._index
 
     def find(self, digest: Digest80) -> Optional[VerificationJob]:
         return self._index.get(digest.value)
@@ -414,7 +413,3 @@ class NodeState:
         if self.audit and purged:
             self.queue.audit()
         return purged
-
-    def drain_unprocessed(self) -> List[VerificationJob]:
-        """End-of-run sweep: hand over every still-queued job, in queue order."""
-        return self.queue.drain()

@@ -2,11 +2,12 @@
 
 A run produces one :class:`MetricsLedger`: per-message disposition records
 for the evaluated node (every node with ``record_all``), per-node counters
-for conservation checks, waiting-time samples, a per-second time series, and
-the report/revocation event log.  ``summarize`` flattens a ledger into the
-scalar row exported to ``summary.csv``; :func:`pool_replications` merges
-several seeded runs the way the experiments are reported (pooled waiting
-samples, averaged scalars).
+for conservation checks, node 0's queue length per second, and the
+report/revocation event log.  The evaluated node's waiting samples and its
+per-second time series are read from its rows.  ``summarize`` flattens a
+ledger into the scalar row exported to ``summary.csv``;
+:func:`pool_replications` merges several seeded runs the way the
+experiments are reported (pooled waiting samples, averaged scalars).
 """
 
 from __future__ import annotations
@@ -86,13 +87,8 @@ class MetricsLedger:
     spot_checks_set: Dict[int, int] = field(default_factory=dict)
     verifications_completed: Dict[int, int] = field(default_factory=dict)
 
-    # Evaluated-node waiting-time samples (accepted messages only).
-    waiting_samples: List[float] = field(default_factory=list)
     # Evaluated-node queue length sampled at integer seconds 0..duration.
     queue_len_samples: List[int] = field(default_factory=list)
-    # Per-second sums/counts of accepted waiting times (time series).
-    _wait_sum_by_second: Dict[int, float] = field(default_factory=dict)
-    _wait_count_by_second: Dict[int, int] = field(default_factory=dict)
 
     busy_time: float = 0.0
     final_queue_len: int = 0
@@ -122,30 +118,24 @@ class MetricsLedger:
         counts[outcome] += 1
         if outcome is DispositionKind.COOPERATIVELY_ACCEPTED and not job.message.signature.valid:
             self.bogus_accepted[node_id] = self.bogus_accepted.get(node_id, 0) + 1
-        if node_id == self.evaluated_node:
-            row = Disposition.of(outcome, job, left_at)
-            if outcome in ACCEPTED_KINDS:
-                # Reuse the row's float: a second copy per sample costs memory.
-                waiting = row.waiting_time
-                self.waiting_samples.append(waiting)
-                sec = int(left_at)
-                self._wait_sum_by_second[sec] = self._wait_sum_by_second.get(sec, 0.0) + waiting
-                self._wait_count_by_second[sec] = self._wait_count_by_second.get(sec, 0) + 1
-            self.records.append((node_id, row))
-        elif self.record_all:
+        if self.record_all or node_id == self.evaluated_node:
             self.records.append((node_id, Disposition.of(outcome, job, left_at)))
 
     def record_claims(self, node_id: int, matched: int, spot_checked: int) -> None:
         self.claims_matched[node_id] = self.claims_matched.get(node_id, 0) + matched
         self.spot_checks_set[node_id] = self.spot_checks_set.get(node_id, 0) + spot_checked
 
-    def record_report(self, report: MisbehaviorReport) -> None:
-        self.reports.append(report)
-
-    def record_revocation(self, node_id: int, time: float) -> None:
-        self.revocations.append((node_id, time))
-
     # -- derived views ---------------------------------------------------------
+
+    def _accepted_rows(self) -> List[Disposition]:
+        """The evaluated node's rows of accepted messages, in record order."""
+        nid = self.evaluated_node
+        return [d for node, d in self.records if node == nid and d.outcome in ACCEPTED_KINDS]
+
+    @property
+    def waiting_samples(self) -> List[float]:
+        """Evaluated-node waiting times of accepted messages, in record order."""
+        return [d.waiting_time for d in self._accepted_rows()]
 
     def node_counts(self, node_id: int) -> Counter:
         return self.outcome_counts.get(node_id, Counter())
@@ -171,10 +161,16 @@ class MetricsLedger:
 
     def timeseries(self) -> List[Tuple[int, float, int]]:
         """(second, mean accepted waiting that second, queue length) rows."""
+        sums: Dict[int, float] = {}
+        counts: Counter = Counter()
+        for d in self._accepted_rows():
+            sec = int(d.leave_queue_time)
+            sums[sec] = sums.get(sec, 0.0) + d.waiting_time
+            counts[sec] += 1
         rows = []
         for sec, qlen in enumerate(self.queue_len_samples):
-            count = self._wait_count_by_second.get(sec, 0)
-            mean = self._wait_sum_by_second.get(sec, 0.0) / count if count else math.nan
+            count = counts[sec]
+            mean = sums[sec] / count if count else math.nan
             rows.append((sec, mean, qlen))
         return rows
 
@@ -223,10 +219,6 @@ class ReplicationResult:
 
     runs: List[MetricsLedger]
     pooled_waiting: List[float]  # sorted, accepted messages, all runs
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.runs)
 
     def per_run_summaries(self) -> List[Dict[str, object]]:
         return [ledger.summarize(i) for i, ledger in enumerate(self.runs)]

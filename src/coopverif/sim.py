@@ -123,10 +123,11 @@ class Event(NamedTuple):
 
 
 def place_nodes(config: ScenarioConfig, rng: random.Random) -> List[Tuple[float, float]]:
-    """Evaluated node at the area centre, the rest i.i.d. uniform."""
+    """Evaluated node at the area centre, the rest (adversary last) i.i.d. uniform."""
     side = config.area_side
     positions = [(side / 2.0, side / 2.0)]
-    for _ in range(config.n_nodes - 1):
+    others = config.n_nodes - 1 + (1 if config.adversary is not None else 0)
+    for _ in range(others):
         positions.append((rng.uniform(0.0, side), rng.uniform(0.0, side)))
     return positions
 
@@ -186,17 +187,11 @@ class SimulationKernel:
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
         self.config = config
-        self.total_nodes = config.n_nodes + (1 if config.adversary is not None else 0)
         self.adversary_id = config.n_nodes if config.adversary is not None else None
 
         base = str(config.seed)
-        placement_rng = random.Random(f"{base}:placement")
-        positions = place_nodes(config, placement_rng)
-        if self.adversary_id is not None:
-            positions.append(
-                (placement_rng.uniform(0.0, config.area_side),
-                 placement_rng.uniform(0.0, config.area_side))
-            )
+        positions = place_nodes(config, random.Random(f"{base}:placement"))
+        self.total_nodes = len(positions)
 
         cooperative = config.scheme == "cooperative"
         period = 1.0 / config.gamma
@@ -225,8 +220,6 @@ class SimulationKernel:
             self.driver = AdversaryDriver(
                 node=self.nodes[self.adversary_id],
                 config=config.adversary,
-                alpha=config.alpha,
-                rng=self.nodes[self.adversary_id].rng,
                 area_side=config.area_side,
             )
 
@@ -321,12 +314,12 @@ class SimulationKernel:
             self._start_verification(node, now)
 
     def _submit_report(self, report: MisbehaviorReport) -> None:
-        self.ledger.record_report(report)
+        self.ledger.reports.append(report)
         if self.registry.add_report(report):
             self._apply_revocation(report.accused.id, report.time)
 
     def _apply_revocation(self, accused_id: int, now: float) -> None:
-        self.ledger.record_revocation(accused_id, now)
+        self.ledger.revocations.append((accused_id, now))
         for node in self.nodes:
             for job in node.purge_sender(accused_id):
                 self.ledger.record_disposition(
@@ -396,7 +389,7 @@ class SimulationKernel:
                 ledger.record_disposition(nid, node.finish_verification(job), job, popped)
                 if nid == 0:
                     ledger.busy_time += max(0.0, min(popped + node.tau, cfg.duration) - popped)
-            for job in node.drain_unprocessed():
+            for job in node.queue.drain():
                 ledger.record_disposition(nid, DispositionKind.UNPROCESSED_AT_END, job, cfg.duration)
             ledger.receptions[nid] = node.receptions
             ledger.duplicates[nid] = node.queue.duplicates_dropped

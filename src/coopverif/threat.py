@@ -13,7 +13,6 @@ its frames dropped at reception and its queued jobs purged everywhere.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
@@ -115,7 +114,7 @@ def detect_false_claim(
 class AdversaryDriver:
     """Generates the adversary's emission cycle.
 
-    With claim width ``k = bogus_per_claim`` and list length ``alpha``, each
+    With claim width ``k = bogus_per_claim`` and the node's ``alpha``, each
     cycle of ``alpha + 1`` emissions holds ``alpha`` bogus messages followed
     by one validly signed claim carrying the last ``k`` bogus digests of the
     cycle, padded with up to ``alpha - k`` genuinely verified digests from
@@ -124,8 +123,6 @@ class AdversaryDriver:
 
     node: NodeState
     config: AdversaryConfig
-    alpha: int
-    rng: random.Random
     area_side: float
     emit_index: int = 0
     _cycle_digests: List[Digest80] = field(default_factory=list)
@@ -134,20 +131,22 @@ class AdversaryDriver:
         return self.config.start_time + self.emit_index / self.config.gamma_adv
 
     def emit(self, now: float) -> SignedCam:
-        pos_in_cycle = self.emit_index % (self.alpha + 1)
+        alpha = self.node.alpha
+        pos_in_cycle = self.emit_index % (alpha + 1)
         self.emit_index += 1
-        if pos_in_cycle < self.alpha:
+        if pos_in_cycle < alpha:
             return self._emit_bogus(now)
         return self._emit_claim(now)
 
     def _emit_bogus(self, now: float) -> SignedCam:
         """A well-formed beacon with arbitrary content and a bad signature."""
+        rng = self.node.rng
         cam = Cam(
             sender=self.node.node_id,
             gen_timestamp=now,
             position=(
-                self.rng.uniform(0.0, self.area_side),
-                self.rng.uniform(0.0, self.area_side),
+                rng.uniform(0.0, self.area_side),
+                rng.uniform(0.0, self.area_side),
             ),
             seq=self.node.seq,
             claimed_digests=(),
@@ -159,11 +158,12 @@ class AdversaryDriver:
 
     def _emit_claim(self, now: float) -> SignedCam:
         k = self.config.bogus_per_claim
-        claimed: List[Digest80] = self._cycle_digests[self.alpha - k :] if k else []
+        alpha = self.node.alpha
+        claimed: List[Digest80] = self._cycle_digests[alpha - k :] if k else []
         self._cycle_digests = []
-        if k < self.alpha:
+        if k < alpha:
             pad = [d for d in self.node.cache.digests() if d not in claimed]
-            claimed = claimed + pad[: self.alpha - k]
+            claimed = claimed + pad[: alpha - k]
         cam = Cam(
             sender=self.node.node_id,
             gen_timestamp=now,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from coopverif import analytic
 from coopverif.analytic import (
     DetectionParams,
     baseline_saturation,
@@ -199,6 +200,30 @@ class TestMonteCarloReveal:
         a = monte_carlo_reveal(params, 5000, np.random.default_rng(9))
         b = monte_carlo_reveal(params, 5000, np.random.default_rng(9))
         assert a == b
+
+    def test_batches_bounded_and_estimate_independent_of_batch_size(self, monkeypatch):
+        """A large neighbourhood is drawn in batches of at most DRAWS coins,
+        and a smaller batch size draws the same coins."""
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng = rng
+                self.shapes = []
+
+            def random(self, shape):
+                self.shapes.append(shape)
+                return self.rng.random(shape)
+
+        # About 10 of 2000 receivers detect per trial, so reveal is a coin flip.
+        params = DetectionParams(alpha=50, pr_check=1e-4, n_neighbors=2000, votes_needed=10)
+        recorder = Recorder(np.random.default_rng(4))
+        est = monte_carlo_reveal(params, 40, recorder)
+        assert len(recorder.shapes) > 1
+        assert all(math.prod(shape) <= analytic.DRAWS for shape in recorder.shapes)
+        assert sum(shape[0] for shape in recorder.shapes) == 40
+        assert 0.0 < est.estimate < 1.0
+        monkeypatch.setattr(analytic, "DRAWS", 7 * 2000 * 50)
+        assert monte_carlo_reveal(params, 40, np.random.default_rng(4)) == est
 
 
 class TestWilsonInterval:

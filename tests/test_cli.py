@@ -130,6 +130,21 @@ class TestRunCommand:
         receptions = int(run0[header.index("receptions")])
         assert receptions <= 10  # one neighbour at 10 Hz for one second
 
+    def test_effective_config_reproduces_the_run_config(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main([
+            "run", "--out", str(out), "--runs", "1", "--set", "n_nodes=3",
+            "--set", "duration=1", "--set", "tau=0.00512345678912",
+            "--set", "adversary.gamma_adv=7.25", "--set", "detection.blacklist_rejected=true",
+        ])
+        assert rc == 0
+        assert "tau = 0.00512345678912\n" in (out / "effective_config.ini").read_text()
+        expected = load_config(None, [
+            "n_nodes=3", "duration=1", "tau=0.00512345678912",
+            "adversary.gamma_adv=7.25", "detection.blacklist_rejected=true",
+        ])
+        assert load_config(out / "effective_config.ini") == expected
+
     def test_malformed_config_exits_2(self, tmp_path):
         ini = tmp_path / "bad.ini"
         ini.write_text("[scenario]\nn_nodes = -3\n")
@@ -207,6 +222,30 @@ class TestSweepCommand:
         assert rc == 2
         assert not (out / "tau=0.005").exists()
 
+    @pytest.mark.parametrize(
+        "bad", [["--values", "0.1,0.10"], ["--values", "0.1,0.2", "--runs", "0"]]
+    )
+    def test_repeated_values_or_no_runs_write_nothing(self, bad, tmp_path):
+        out = tmp_path / "sweep"
+        rc = main([
+            "sweep", "--param", "pr_check", "--out", str(out),
+            "--set", "n_nodes=3", "--set", "duration=1", *bad,
+        ])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_values_apart_below_nine_digits_get_their_own_dirs(self, tmp_path):
+        out = tmp_path / "sweep"
+        rc = main([
+            "sweep", "--param", "pr_check", "--values", "0.1,0.1000000001", "--out", str(out),
+            "--runs", "1", "--set", "n_nodes=3", "--set", "duration=1",
+        ])
+        assert rc == 0
+        assert (out / "pr_check=0.1").is_dir()
+        assert (out / "pr_check=0.1000000001").is_dir()
+        labels = [r[1] for r in read_csv(out / "combined.csv")[1:]]
+        assert labels == ["0.1"] * 101 + ["0.1000000001"] * 101
+
 
 class TestAnalyzeCommand:
     def test_reference_point(self, tmp_path, capsys):
@@ -248,7 +287,9 @@ class TestAnalyzeCommand:
         assert value == f"{0.8041228205076918:.9g}"
 
     @pytest.mark.parametrize(
-        "bad", [["--pr-check", "1.5"], ["--trials", "0"], ["--tau", "0"], ["--tau", "nan"]]
+        "bad",
+        [["--pr-check", "1.5"], ["--trials", "0"], ["--tau", "0"], ["--tau", "nan"],
+         ["--seed", "-1"]],
     )
     def test_bad_arguments_exit_2_before_computing(self, bad, tmp_path, monkeypatch):
         def must_not_run(*args, **kwargs):

@@ -74,6 +74,14 @@ class TestPlacement:
         pos = place_nodes(cfg, random.Random(1))
         assert pos[0] == (250.0, 250.0)
 
+    def test_adversary_placed_last_after_the_benign_draws(self):
+        cfg = ScenarioConfig(n_nodes=4)
+        benign = place_nodes(cfg, random.Random(3))
+        pos = place_nodes(replace(cfg, adversary=AdversaryConfig()), random.Random(3))
+        assert pos[:4] == benign
+        assert len(pos) == 5
+        assert len(SimulationKernel(replace(cfg, adversary=AdversaryConfig())).nodes) == 5
+
 
 class TestBeaconing:
     def test_twenty_generations_in_two_seconds(self):

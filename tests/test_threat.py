@@ -32,7 +32,7 @@ def make_driver(k=5, alpha=5, gamma_adv=10.0, start=0.0, seed="adv"):
     )
     cfg = AdversaryConfig(gamma_adv=gamma_adv, bogus_per_claim=k, start_time=start)
     cfg.validate(alpha)
-    return AdversaryDriver(node=node, config=cfg, alpha=alpha, rng=node.rng, area_side=200.0)
+    return AdversaryDriver(node=node, config=cfg, area_side=200.0)
 
 
 class TestAdversaryEmission:
