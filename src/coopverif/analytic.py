@@ -45,8 +45,8 @@ class DetectionParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.pr_check <= 1.0:
             raise ValueError("pr_check must be in [0, 1]")
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
+        if not 1 <= self.alpha <= DRAWS:
+            raise ValueError(f"alpha must be in [1, {DRAWS}]")
         if self.n_neighbors < 1:
             raise ValueError("n_neighbors must be >= 1")
         if self.votes_needed < 0:
@@ -163,20 +163,24 @@ def monte_carlo_reveal(
     ``votes_needed`` receivers detect.  Deliberately does not reuse the
     closed forms above, so it can serve as their independent check.
     Returns the sample fraction with a 95% Wilson interval.  Trials run in
-    batches of at most ``DRAWS`` coins (a single trial if it needs more);
-    the generator fills them from one stream, so the estimate does not
-    depend on the batch size.
+    batches of at most ``DRAWS`` coins; a trial that needs more is drawn in
+    slices of at most ``DRAWS // alpha`` receivers.  The generator fills
+    every draw from one stream, so the estimate does not depend on the
+    batch or slice size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, a, v = params.n_neighbors, params.alpha, params.votes_needed
-    chunk = max(1, DRAWS // (n * a))
+    chunk = max(1, DRAWS // (n * a))  # trials per batch
+    per_slice = min(n, DRAWS // a)  # receivers per draw
     successes = 0
     done = 0
     while done < trials:
         batch = min(chunk, trials - done)
-        coins = rng.random((batch, n, a)) < params.pr_check
-        detectors = coins.any(axis=2).sum(axis=1)
+        detectors = np.zeros(batch, dtype=np.int64)
+        for start in range(0, n, per_slice):
+            coins = rng.random((batch, min(per_slice, n - start), a)) < params.pr_check
+            detectors += coins.any(axis=2).sum(axis=1)
         successes += int((detectors >= v).sum())
         done += batch
     low, high = wilson_interval(successes, trials)

@@ -15,8 +15,8 @@ Scenario settings come from an INI-style config file (sections
 ``--set key=value``.  Exit codes: 0 success, 2 configuration error,
 3 I/O error.  Outputs contain no timestamps: identical invocations produce
 byte-identical files.  ``COOPVERIF_WORKERS`` bounds the process pool used
-for replications (default 1, fully sequential); the pool never exceeds the
-number of replications or of CPUs.
+for replications (default 1, fully sequential; below 1 is a configuration
+error); the pool never exceeds the number of replications or of CPUs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import sys
 import time
 from dataclasses import fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .analytic import (
     pr_reveal_after_n,
     pr_skip,
 )
+from .engine import Disposition
 from .metrics import SUMMARY_COLUMNS, ReplicationResult
 from .sim import AdversaryConfig, ConfigError, DetectionConfig, ScenarioConfig, run_replications
 
@@ -195,43 +196,63 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def export_replication(result: ReplicationResult, out_dir: Path) -> None:
-    """Write the full CSV bundle for one replicated scenario."""
+# The two files whose size grows with the data are written line by line
+# from fixed templates, holding no copy of their rows.  A template writes
+# the bytes ``_write_csv`` would: every cell is an int, a finite float
+# (the config is validated and negative waits are refused) or a hex or
+# outcome string, none of which ``csv`` would quote.
+
+_WAIT_HEADER = "run,node,msg_id,sender,enqueue_time,outcome,leave_queue_time,waiting_time\r\n"
+_WAIT_ROW = "%d,%d,%s,%d,%.9g,%s,%.9g,%.9g\r\n"
+_CDF_HEADER = "waiting_time,cum_prob\r\n"
+_CDF_ROW = "%.9g,%.9g\r\n"
+
+
+def _wait_line(run: int, node: int, d: Disposition) -> str:
+    """One ``waiting_times.csv`` row."""
+    return _WAIT_ROW % (
+        run, node, d.digest.value.hex(), d.sender.id, d.enqueue_time,
+        d.outcome.value, d.leave_queue_time, d.waiting_time,
+    )
+
+
+def _write_lines(path: Path, header: str, lines: Iterable[str]) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        fh.writelines(lines)
+
+
+def export_replication(result: ReplicationResult, out_dir: Path) -> Dict[str, object]:
+    """Write the full CSV bundle for one replicated scenario.
+
+    Returns the bundle's mean summary row.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summaries = result.per_run_summaries()
-    rows = [[s[c] for c in SUMMARY_COLUMNS] for s in summaries]
-    mean = result.mean_summary()
-    rows.append([mean[c] for c in SUMMARY_COLUMNS])
-    _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, rows)
+    mean = result.mean_summary(summaries)
+    _write_csv(
+        out_dir / "summary.csv",
+        SUMMARY_COLUMNS,
+        ([s[c] for c in SUMMARY_COLUMNS] for s in [*summaries, mean]),
+    )
 
-    wait_header = [
-        "run", "node", "msg_id", "sender", "enqueue_time",
-        "outcome", "leave_queue_time", "waiting_time",
-    ]
-    wait_rows = []
-    for run_idx, ledger in enumerate(result.runs):
-        for node_id, disp in ledger.records:
-            wait_rows.append(
-                [
-                    run_idx,
-                    node_id,
-                    disp.digest.hex(),
-                    disp.sender.id,
-                    disp.enqueue_time,
-                    disp.outcome.value,
-                    disp.leave_queue_time,
-                    disp.waiting_time,
-                ]
-            )
-    _write_csv(out_dir / "waiting_times.csv", wait_header, wait_rows)
+    _write_lines(
+        out_dir / "waiting_times.csv",
+        _WAIT_HEADER,
+        (
+            _wait_line(run_idx, node_id, disp)
+            for run_idx, ledger in enumerate(result.runs)
+            for node_id, disp in ledger.records
+        ),
+    )
 
     pooled = result.pooled_waiting
     n = len(pooled)
-    _write_csv(
+    _write_lines(
         out_dir / "cdf.csv",
-        ["waiting_time", "cum_prob"],
-        ([w, (i + 1) / n] for i, w in enumerate(pooled)),
+        _CDF_HEADER,
+        (_CDF_ROW % (w, (i + 1) / n) for i, w in enumerate(pooled)),
     )
 
     ts_rows = []
@@ -263,6 +284,7 @@ def export_replication(result: ReplicationResult, out_dir: Path) -> None:
             event_rows.append([run_idx, when, "revocation", "", accused, "", ""])
     event_rows.sort(key=lambda r: (r[0], r[1], r[2]))
     _write_csv(out_dir / "events.csv", event_header, event_rows)
+    return mean
 
 
 def _write_effective_config(config: ScenarioConfig, n_runs: int, out_dir: Path) -> None:
@@ -291,22 +313,27 @@ def _print_summary(mean: Dict[str, object]) -> None:
 def _workers() -> int:
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {raw!r}")
+    return workers
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    workers = _workers()
     config = load_config(args.config, args.set, args.seed)
-    result = run_replications(config, args.runs, workers=_workers())
+    result = run_replications(config, args.runs, workers=workers)
     out_dir = Path(args.out)
-    export_replication(result, out_dir)
+    mean = export_replication(result, out_dir)
     _write_effective_config(config, args.runs, out_dir)
-    _print_summary(result.mean_summary())
+    _print_summary(mean)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    workers = _workers()
     if args.param not in _SWEEP_PARAMS:
         raise ConfigError(
             f"unknown sweep parameter {args.param!r}; choose from {sorted(_SWEEP_PARAMS)}"
@@ -331,7 +358,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     quantile_grid = [round(q / 100.0, 2) for q in range(0, 101)]
     combined_rows: List[List[object]] = []
     for config, label in zip(configs, labels):
-        result = run_replications(config, args.runs, workers=_workers())
+        result = run_replications(config, args.runs, workers=workers)
         sub = out_dir / f"{args.param}={label}"
         export_replication(result, sub)
         _write_effective_config(config, args.runs, sub)

@@ -223,12 +223,15 @@ class ReplicationResult:
     def per_run_summaries(self) -> List[Dict[str, object]]:
         return [ledger.summarize(i) for i, ledger in enumerate(self.runs)]
 
-    def mean_summary(self) -> Dict[str, object]:
+    def mean_summary(self, rows: Optional[List[Dict[str, object]]] = None) -> Dict[str, object]:
         """Scalar averages across runs; non-numeric fields from run 0.
 
+        ``rows`` are the runs' ``per_run_summaries()`` when the caller has
+        them already; otherwise they are computed here.
         ``revocation_time`` averages only the runs that actually revoked.
         """
-        rows = self.per_run_summaries()
+        if rows is None:
+            rows = self.per_run_summaries()
         out: Dict[str, object] = {}
         for key in SUMMARY_COLUMNS:
             values = [r[key] for r in rows]

@@ -32,6 +32,18 @@ def pr_reveal_exact(pr_check: Fraction, alpha: int, n: int, v: int) -> Fraction:
     return 1 - tail
 
 
+class ShapeRecorder:
+    """A generator stand-in that records the shape of every draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.shapes = []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+
 class TestPrSkip:
     def test_never_checks(self):
         assert pr_skip(0.0, 5) == 1.0
@@ -205,18 +217,9 @@ class TestMonteCarloReveal:
         """A large neighbourhood is drawn in batches of at most DRAWS coins,
         and a smaller batch size draws the same coins."""
 
-        class Recorder:
-            def __init__(self, rng):
-                self.rng = rng
-                self.shapes = []
-
-            def random(self, shape):
-                self.shapes.append(shape)
-                return self.rng.random(shape)
-
         # About 10 of 2000 receivers detect per trial, so reveal is a coin flip.
         params = DetectionParams(alpha=50, pr_check=1e-4, n_neighbors=2000, votes_needed=10)
-        recorder = Recorder(np.random.default_rng(4))
+        recorder = ShapeRecorder(np.random.default_rng(4))
         est = monte_carlo_reveal(params, 40, recorder)
         assert len(recorder.shapes) > 1
         assert all(math.prod(shape) <= analytic.DRAWS for shape in recorder.shapes)
@@ -224,6 +227,25 @@ class TestMonteCarloReveal:
         assert 0.0 < est.estimate < 1.0
         monkeypatch.setattr(analytic, "DRAWS", 7 * 2000 * 50)
         assert monte_carlo_reveal(params, 40, np.random.default_rng(4)) == est
+
+    def test_oversized_trial_drawn_in_slices_with_the_same_estimate(self, monkeypatch):
+        """A trial of more than DRAWS coins is drawn in receiver slices of at
+        most DRAWS coins each, and gives the estimate of one whole draw."""
+        params = DetectionParams(alpha=50, pr_check=1e-4, n_neighbors=2000, votes_needed=10)
+        whole = monte_carlo_reveal(params, 30, np.random.default_rng(4))
+        assert 0.0 < whole.estimate < 1.0
+        # 300 receivers per slice: each trial takes six full slices and one of 200.
+        monkeypatch.setattr(analytic, "DRAWS", 300 * 50 + 49)
+        recorder = ShapeRecorder(np.random.default_rng(4))
+        assert monte_carlo_reveal(params, 30, recorder) == whole
+        assert len(recorder.shapes) == 30 * 7
+        assert all(math.prod(shape) <= analytic.DRAWS for shape in recorder.shapes)
+        assert recorder.shapes[:7] == [(1, 300, 50)] * 6 + [(1, 200, 50)]
+
+    def test_alpha_above_draws_rejected(self):
+        DetectionParams(alpha=analytic.DRAWS, pr_check=0.1, n_neighbors=1, votes_needed=1)
+        with pytest.raises(ValueError, match="alpha"):
+            DetectionParams(alpha=analytic.DRAWS + 1, pr_check=0.1, n_neighbors=1, votes_needed=1)
 
 
 class TestWilsonInterval:

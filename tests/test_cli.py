@@ -2,13 +2,18 @@
 
 import csv
 import filecmp
+import io
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from coopverif.cli import load_config, main
-from coopverif.metrics import SUMMARY_COLUMNS
+from coopverif.cli import _CDF_ROW, _fmt, _wait_line, export_replication, load_config, main
+from coopverif.core import Digest80, NodeId
+from coopverif.engine import Disposition, DispositionKind
+from coopverif.metrics import SUMMARY_COLUMNS, MetricsLedger, pool_replications
 from coopverif.sim import ConfigError
 
 SMALL = ["--set", "n_nodes=4", "--set", "duration=3", "--set", "seed=5"]
@@ -289,7 +294,7 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize(
         "bad",
         [["--pr-check", "1.5"], ["--trials", "0"], ["--tau", "0"], ["--tau", "nan"],
-         ["--seed", "-1"]],
+         ["--seed", "-1"], ["--alpha", "1500001"]],
     )
     def test_bad_arguments_exit_2_before_computing(self, bad, tmp_path, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -313,3 +318,94 @@ class TestAnalyzeCommand:
         p1 = float(table["pr_reveal_after_1"])
         p25 = float(table["pr_reveal_after_25"])
         assert p25 == pytest.approx(1 - (1 - p1) ** 25, rel=1e-9)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_worker_count_below_one_exits_2_before_any_run(self, raw, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran with a worker count below one")
+
+        monkeypatch.setenv("COOPVERIF_WORKERS", raw)
+        monkeypatch.setattr("coopverif.cli.run_replications", must_not_run)
+        assert main(["run", "--out", str(tmp_path / "run"), "--runs", "1", *SMALL]) == 2
+        assert main(["sweep", "--param", "N", "--values", "3,4", "--out", str(tmp_path / "sweep"),
+                     "--runs", "1", *SMALL]) == 2
+        assert not (tmp_path / "run").exists() and not (tmp_path / "sweep").exists()
+
+
+# Finite floats where ``%.9g`` output is easy to get wrong: signed zero,
+# subnormals, exponent switches and ties at the ninth significant digit.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-7, 1e-5, 1e-4, 1e16, 1e17,
+    1.0000000005, 0.1234567895, 2.5e-9, 99999999.95, 999999999.5, 1e9, 9999999995.0,
+    1.7976931348623157e308,
+]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+ids = st.integers(min_value=0, max_value=2**63)
+
+
+def csv_line(row) -> str:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow([_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def synthetic_result(rows_per_run: int, runs: int = 1):
+    """Hand-built ledgers holding every node's rows, as with record_all_nodes."""
+    kinds = list(DispositionKind)
+    senders = [NodeId(i) for i in range(30)]
+    ledgers = []
+    for run in range(runs):
+        ledger = MetricsLedger(seed=run, scheme="cooperative", duration=10.0, record_all=True)
+        ledger.queue_len_samples = [0] * 11
+        for i in range(rows_per_run):
+            enqueue = i * 1e-4
+            disp = Disposition(kinds[i % len(kinds)], Digest80(i.to_bytes(10, "big")),
+                               senders[(i + 1) % 30], enqueue, enqueue + (i % 97) * 1e-3, True)
+            ledger.records.append((i % 30, disp))
+        ledgers.append(ledger)
+    return pool_replications(ledgers)
+
+
+class TestStreamingExport:
+    @given(ids, ids, st.binary(min_size=10, max_size=10), ids, finite_floats, finite_floats,
+           st.sampled_from(DispositionKind))
+    def test_wait_line_matches_csv_writer(self, run, node, digest, sender, enqueue, leave, kind):
+        disp = Disposition(kind, Digest80(digest), NodeId(sender), enqueue, leave, True)
+        row = [run, node, disp.digest.hex(), disp.sender.id, disp.enqueue_time,
+               disp.outcome.value, disp.leave_queue_time, disp.waiting_time]
+        assert _wait_line(run, node, disp) == csv_line(row)
+
+    @given(finite_floats, finite_floats)
+    def test_cdf_row_matches_csv_writer(self, waiting, cum_prob):
+        assert _CDF_ROW % (waiting, cum_prob) == csv_line([waiting, cum_prob])
+
+    def test_export_memory_does_not_grow_with_the_row_count(self, tmp_path):
+        def traced_peak(result, out):
+            tracemalloc.start()
+            try:
+                export_replication(result, out)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = traced_peak(synthetic_result(20_000), tmp_path / "small")
+        large = traced_peak(synthetic_result(100_000), tmp_path / "large")
+        assert len(read_csv(tmp_path / "large" / "waiting_times.csv")) == 1 + 100_000
+        assert large - small < 1 << 20
+
+    def test_export_summarizes_each_run_once(self, tmp_path, monkeypatch):
+        calls = []
+        summarize = MetricsLedger.summarize
+
+        def counting(ledger, run_index=0):
+            calls.append(run_index)
+            return summarize(ledger, run_index)
+
+        monkeypatch.setattr(MetricsLedger, "summarize", counting)
+        export_replication(synthetic_result(100, runs=3), tmp_path / "export")
+        assert calls == [0, 1, 2]
+        calls.clear()
+        assert main(["run", "--out", str(tmp_path / "run"), "--runs", "2", *SMALL]) == 0
+        assert calls == [0, 1]
