@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-# Most uniform doubles the Monte Carlo draws in one batch (12 MB).
-DRAWS = 1_500_000
+# Most uniform doubles the Monte Carlo draws in one batch (2 MiB).
+DRAWS = 1 << 18
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,6 +170,8 @@ def monte_carlo_reveal(
     every draw from one stream, so the estimate does not depend on the
     batch or slice size.
     """
+    import numpy as np  # only the Monte Carlo needs numpy; runs never pay its import
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, a, v = params.n_neighbors, params.alpha, params.votes_needed

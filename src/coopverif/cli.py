@@ -32,8 +32,6 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from .analytic import (
     DetectionParams,
     baseline_saturation,
@@ -389,6 +387,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         saturation = baseline_saturation(args.tau, args.gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    import numpy as np  # only analyze needs numpy; run and sweep never pay its import
+
     started = time.perf_counter()
     skip = pr_skip(params.pr_check, params.alpha)
     reveal = pr_reveal(params)

@@ -24,7 +24,6 @@ import itertools
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from heapq import heappop, heappush
@@ -418,6 +417,8 @@ def run_replications(config: ScenarioConfig, n_runs: int, workers: int = 1) -> R
     configs = [replace(config, seed=config.seed + i) for i in range(n_runs)]
     workers = min(workers, n_runs, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs load multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             ledgers = list(pool.map(run_scenario, configs))
     else:

@@ -1,5 +1,6 @@
 """Kernel tests: placement, beaconing, channel timing, scheme behaviour."""
 
+import concurrent.futures
 import math
 import os
 import random
@@ -8,7 +9,6 @@ from dataclasses import replace
 import pytest
 from scipy import stats
 
-from coopverif import sim
 from coopverif.core import Role, VerificationJob, compute_digest
 from coopverif.engine import DispositionKind
 from coopverif.metrics import MetricsLedger
@@ -221,7 +221,8 @@ class TestDeterminism:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        # run_replications imports the pool from concurrent.futures when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = short_config(n_nodes=2, duration=0.5)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         for n_runs, workers in ((3, 64), (3, 2), (6, 64), (3, 1)):
@@ -356,6 +357,24 @@ class TestRunEnd:
     def test_queue_samples_cover_every_second(self):
         ledger = run_scenario(short_config(duration=5.0))
         assert len(ledger.queue_len_samples) == 6  # seconds 0..5
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: run() samples the node-0 job list it bound at start, "
+        "and purge_sender replaces that list, so samples after a purge are stale",
+    )
+    def test_queue_samples_follow_a_purge(self):
+        cfg = ScenarioConfig(
+            n_nodes=10,
+            duration=4.0,
+            tau=0.015,
+            seed=2,
+            adversary=AdversaryConfig(gamma_adv=10.0),
+            detection=DetectionConfig(votes_needed=2),
+        )
+        ledger = run_scenario(cfg)
+        assert ledger.revocations
+        assert ledger.queue_len_samples[-1] == ledger.final_queue_len
 
 
 class TestAdversaryRuns:
