@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import os
 import sys
@@ -186,19 +185,12 @@ def _fmt_exact(value: object) -> str:
     return text
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-# The two files whose size grows with the data are written line by line
-# from fixed templates, holding no copy of their rows.  A template writes
-# the bytes ``_write_csv`` would: every cell is an int, a finite float
-# (the config is validated and negative waits are refused) or a hex or
-# outcome string, none of which ``csv`` would quote.
+# Every CSV is written line by line with ``\r\n`` endings and no quoting,
+# which no cell needs: each is an int, a ``_fmt`` float (NaN written empty),
+# a hex digest, an outcome or event name, a scheme name or a sweep label.
+# The two files that grow with the data use fixed templates, which write
+# what ``_csv_line`` would: their floats are finite (the config is
+# validated and negative waits are refused).
 
 _WAIT_HEADER = "run,node,msg_id,sender,enqueue_time,outcome,leave_queue_time,waiting_time\r\n"
 _WAIT_ROW = "%d,%d,%s,%d,%.9g,%s,%.9g,%.9g\r\n"
@@ -218,6 +210,14 @@ def _write_lines(path: Path, header: str, lines: Iterable[str]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(header)
         fh.writelines(lines)
+
+
+def _csv_line(row: Iterable[object]) -> str:
+    return ",".join(map(_fmt, row)) + "\r\n"
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    _write_lines(path, _csv_line(header), map(_csv_line, rows))
 
 
 def export_replication(result: ReplicationResult, out_dir: Path) -> Dict[str, object]:

@@ -18,6 +18,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 DIGEST_BYTES = 10  # 80-bit truncated SHA-256
+MAX_CLAIMED = 255  # the encoding stores the claimed-digest count in one byte
 
 # Frame size accounting: a plain beacon (signature and certificate included)
 # occupies 300 bytes on air; each appended digest adds 10 bytes.
@@ -78,22 +79,16 @@ class Cam:
 
 
 @dataclass(frozen=True, slots=True)
-class Signature:
-    """Abstract signature record: who signed, and whether it verifies.
+class SignedCam:
+    """A beacon signed by its sender, ``cam.sender``.
 
     Real cryptography is out of scope; verification cost is modelled by the
-    scenario's per-message delay, and validity is a ground-truth flag
+    scenario's per-message delay, and ``valid`` is a ground-truth flag
     (benign senders always sign validly, bogus messages never verify).
     """
 
-    signer: NodeId
-    valid: bool
-
-
-@dataclass(frozen=True, slots=True)
-class SignedCam:
     cam: Cam
-    signature: Signature
+    valid: bool
 
 
 @dataclass(eq=False, slots=True)
@@ -130,8 +125,8 @@ def encode_signed_cam(message: SignedCam) -> bytes:
         cam.position[0],
         cam.position[1],
         cam.seq,
-        message.signature.signer.id,
-        1 if message.signature.valid else 0,
+        cam.sender.id,  # signer: a beacon is signed by its sender
+        1 if message.valid else 0,
         len(cam.claimed_digests),
     )
     parts = [head]
@@ -148,8 +143,3 @@ def encoded_length(n_claimed: int) -> int:
 def compute_digest(message: SignedCam) -> Digest80:
     """First 80 bits of SHA-256 over the canonical encoding."""
     return Digest80(hashlib.sha256(encode_signed_cam(message)).digest()[:DIGEST_BYTES])
-
-
-def digest_of_bytes(encoded: bytes) -> Digest80:
-    """Digest of an already-encoded frame (avoids re-encoding)."""
-    return Digest80(hashlib.sha256(encoded).digest()[:DIGEST_BYTES])

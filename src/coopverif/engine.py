@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .core import Cam, Digest80, NodeId, Signature, SignedCam, VerificationJob
+from .core import Cam, Digest80, NodeId, SignedCam, VerificationJob
 
 
 class DispositionKind(Enum):
@@ -79,7 +79,7 @@ class Disposition:
             job.message.cam.sender,
             job.enqueue_time,
             left_at,
-            job.message.signature.valid,
+            job.message.valid,
         )
 
     @property
@@ -342,7 +342,7 @@ class NodeState:
         self.verifications_completed += 1
         if revoked:
             outcome = DispositionKind.PURGED_REVOKED
-        elif job.message.signature.valid:
+        elif job.message.valid:
             outcome = DispositionKind.SIGNATURE_ACCEPTED
             if self.audit and job.digest in self._coop_accepted:
                 raise QueueInvariantError("cooperatively accepted digest re-verified")
@@ -364,7 +364,7 @@ class NodeState:
         removed, its waiting ending at the caller's current time.  Digests
         that are absent or already flagged are ignored.
         """
-        claimant = accepted.signature.signer
+        claimant = accepted.cam.sender
         result = ClaimApplication([], 0, 0, [])
         for claimed in accepted.cam.claimed_digests:
             job = self.queue.find(claimed)
@@ -395,15 +395,15 @@ class NodeState:
         claimed, without padding.  Baseline nodes claim nothing.
         """
         claimed = self.cache.digests() if self.cooperative else ()
-        cam = Cam(
-            sender=self.node_id,
-            gen_timestamp=now,
-            position=self.position,
-            seq=self.seq,
-            claimed_digests=claimed,
-        )
+        return self.sign(now, self.position, claimed, True)
+
+    def sign(
+        self, now: float, position: Tuple[float, float], claimed: Tuple[Digest80, ...], valid: bool
+    ) -> SignedCam:
+        """This node's next frame, signed by it: it takes the next ``seq``."""
+        cam = Cam(self.node_id, now, position, self.seq, claimed)
         self.seq += 1
-        return SignedCam(cam=cam, signature=Signature(signer=self.node_id, valid=True))
+        return SignedCam(cam, valid)
 
     # -- revocation support --------------------------------------------------
 

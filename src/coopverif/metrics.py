@@ -16,7 +16,7 @@ import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .core import VerificationJob
 from .engine import ACCEPTED_KINDS, Disposition, DispositionKind
@@ -73,8 +73,8 @@ class MetricsLedger:
     seed: int
     scheme: str
     duration: float
-    evaluated_node: int = 0
     record_all: bool = False
+    evaluated_node: ClassVar[int] = 0
 
     # Per-message rows: (node_id, Disposition).  Always kept for the
     # evaluated node; for every node when record_all is set.
@@ -116,7 +116,7 @@ class MetricsLedger:
         if counts is None:
             counts = self.outcome_counts[node_id] = Counter()
         counts[outcome] += 1
-        if outcome is DispositionKind.COOPERATIVELY_ACCEPTED and not job.message.signature.valid:
+        if outcome is DispositionKind.COOPERATIVELY_ACCEPTED and not job.message.valid:
             self.bogus_accepted[node_id] = self.bogus_accepted.get(node_id, 0) + 1
         if self.record_all or node_id == self.evaluated_node:
             self.records.append((node_id, Disposition.of(outcome, job, left_at)))

@@ -29,7 +29,7 @@ from enum import IntEnum
 from heapq import heappop, heappush
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import Digest80, NodeId, Role, SignedCam, compute_digest, encode_signed_cam
+from .core import MAX_CLAIMED, Digest80, NodeId, Role, SignedCam, compute_digest, encode_signed_cam
 from .engine import DispositionKind, NodeState
 from .metrics import MetricsLedger, ReplicationResult, pool_replications
 from .threat import AdversaryConfig, AdversaryDriver, MisbehaviorReport, RevocationRegistry, detect_false_claim
@@ -81,8 +81,8 @@ class ScenarioConfig:
             raise ConfigError(f"n_nodes must be >= 1, got {self.n_nodes}")
         if not 0.0 <= self.pr_check <= 1.0:
             raise ConfigError(f"pr_check must be in [0, 1], got {self.pr_check}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha <= MAX_CLAIMED:
+            raise ConfigError(f"alpha must be in [0, {MAX_CLAIMED}], got {self.alpha}")
         for name in ("tau", "gamma", "duration", "area_side", "bitrate"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -134,8 +134,9 @@ def place_nodes(config: ScenarioConfig, rng: random.Random) -> List[Tuple[float,
 def beacon_times(phase: float, gamma: float, duration: float) -> Iterator[float]:
     """Generation instants: ``phase + k/gamma`` for every k within the run.
 
-    Computed by index, not by accumulation; the kernel schedules each benign
-    node's beacons from this iterator.
+    Computed by index, not by accumulation; the kernel schedules every
+    node's frames from this iterator, the adversary's at ``gamma_adv`` from
+    its ``start_time``.
     """
     k = 0
     while True:
@@ -153,7 +154,6 @@ def airtime(n_bytes: int, bitrate: float) -> float:
 
 def broadcast(
     frame: SignedCam,
-    sender_id: int,
     now: float,
     config: ScenarioConfig,
     total_nodes: int,
@@ -161,12 +161,13 @@ def broadcast(
 ) -> Tuple[List[int], float, Digest80]:
     """Receivers, delivery time and digest of one transmitted frame.
 
-    Every node except the sender receives the frame one airtime after
+    Every node except the frame's sender receives it one airtime after
     ``now``; with ``loss_prob`` set, each delivery is dropped independently
     (one ``channel_rng`` draw per non-sender, in ascending id order).  The
     receiver ids come back in ascending order; the caller counts the
     ``total_nodes - 1 - len(receivers)`` losses.
     """
+    sender_id = frame.cam.sender.id
     encoded = encode_signed_cam(frame)
     digest = compute_digest(frame)
     deliver_at = now + airtime(len(encoded), config.bitrate)
@@ -211,14 +212,18 @@ class SimulationKernel:
                 blacklist_rejected=config.detection.blacklist_rejected,
             )
             self.nodes.append(node)
-            self._phase.append(rng.uniform(0.0, period) if role is Role.BENIGN else 0.0)
+            if role is Role.BENIGN:
+                self._phase.append(rng.uniform(0.0, period))
+        # Node i's generation instants; the adversary, the last node, sends at its own rate.
         self._beacons = [beacon_times(p, config.gamma, config.duration) for p in self._phase]
 
         self.driver: Optional[AdversaryDriver] = None
-        if self.adversary_id is not None:
+        adv = config.adversary
+        if adv is not None:
+            self._beacons.append(beacon_times(adv.start_time, adv.gamma_adv, config.duration))
             self.driver = AdversaryDriver(
                 node=self.nodes[self.adversary_id],
-                config=config.adversary,
+                config=adv,
                 area_side=config.area_side,
             )
 
@@ -228,16 +233,12 @@ class SimulationKernel:
             seed=config.seed,
             scheme=config.scheme,
             duration=config.duration,
-            evaluated_node=0,
             record_all=config.record_all_nodes,
         )
         self._seq = itertools.count()
         self._heap: List[Event] = []
-        for i in range(self.total_nodes):
-            if i == self.adversary_id:
-                first = self.driver.next_emission_time()
-            else:
-                first = next(self._beacons[i], config.duration)
+        for i, times in enumerate(self._beacons):
+            first = next(times, config.duration)
             if first < config.duration:
                 heappush(self._heap, Event(first, EventKind.CAM_GENERATION, next(self._seq), (i,)))
         heappush(
@@ -249,17 +250,14 @@ class SimulationKernel:
 
     def _handle_generation(self, node_id: int, now: float) -> None:
         cfg = self.config
-        if self.driver is not None and node_id == self.adversary_id:
+        if node_id == self.adversary_id:
             frame = self.driver.emit(now)
-            nxt = self.driver.next_emission_time()
         else:
             frame = self.nodes[node_id].build_own_cam(now)
-            nxt = next(self._beacons[node_id], cfg.duration)
+        nxt = next(self._beacons[node_id], cfg.duration)
         if nxt < cfg.duration:
             heappush(self._heap, Event(nxt, EventKind.CAM_GENERATION, next(self._seq), (node_id,)))
-        receivers, deliver_at, digest = broadcast(
-            frame, node_id, now, cfg, self.total_nodes, self.channel_rng
-        )
+        receivers, deliver_at, digest = broadcast(frame, now, cfg, self.total_nodes, self.channel_rng)
         self.ledger.lost_frames += self.total_nodes - 1 - len(receivers)
         if receivers:
             heappush(

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from .core import Cam, Digest80, NodeId, Role, Signature, SignedCam, VerificationJob, compute_digest
+from .core import Digest80, NodeId, SignedCam, VerificationJob, compute_digest
 from .engine import NodeState
 
 
@@ -98,7 +98,7 @@ def detect_false_claim(
     message popped in the ordinary course is rejected without a report:
     there is no claimant to attribute it to.
     """
-    if job.message.signature.valid or job.checked_by is None:
+    if job.message.valid or job.checked_by is None:
         return None
     claimant, claim_digest = job.checked_by
     return MisbehaviorReport(
@@ -112,47 +112,34 @@ def detect_false_claim(
 
 @dataclass(slots=True)
 class AdversaryDriver:
-    """Generates the adversary's emission cycle.
+    """Builds the adversary's frames, one emission cycle after another.
 
-    With claim width ``k = bogus_per_claim`` and the node's ``alpha``, each
-    cycle of ``alpha + 1`` emissions holds ``alpha`` bogus messages followed
-    by one validly signed claim carrying the last ``k`` bogus digests of the
-    cycle, padded with up to ``alpha - k`` genuinely verified digests from
-    the adversary's own cache (fewer if it has not verified that many).
+    The kernel schedules the adversary like any other sender, at
+    ``start_time + k / gamma_adv``.  With claim width
+    ``k = bogus_per_claim`` and the node's ``alpha``, each cycle of
+    ``alpha + 1`` emissions holds ``alpha`` bogus messages followed by one
+    validly signed claim carrying the last ``k`` bogus digests of the cycle,
+    padded with up to ``alpha - k`` genuinely verified digests from the
+    adversary's own cache (fewer if it has not verified that many).  The
+    node's ``seq`` counts the emissions, since only this driver signs for it.
     """
 
     node: NodeState
     config: AdversaryConfig
     area_side: float
-    emit_index: int = 0
     _cycle_digests: List[Digest80] = field(default_factory=list)
-
-    def next_emission_time(self) -> float:
-        return self.config.start_time + self.emit_index / self.config.gamma_adv
 
     def emit(self, now: float) -> SignedCam:
         alpha = self.node.alpha
-        pos_in_cycle = self.emit_index % (alpha + 1)
-        self.emit_index += 1
-        if pos_in_cycle < alpha:
+        if self.node.seq % (alpha + 1) < alpha:
             return self._emit_bogus(now)
         return self._emit_claim(now)
 
     def _emit_bogus(self, now: float) -> SignedCam:
         """A well-formed beacon with arbitrary content and a bad signature."""
         rng = self.node.rng
-        cam = Cam(
-            sender=self.node.node_id,
-            gen_timestamp=now,
-            position=(
-                rng.uniform(0.0, self.area_side),
-                rng.uniform(0.0, self.area_side),
-            ),
-            seq=self.node.seq,
-            claimed_digests=(),
-        )
-        self.node.seq += 1
-        message = SignedCam(cam=cam, signature=Signature(signer=self.node.node_id, valid=False))
+        position = (rng.uniform(0.0, self.area_side), rng.uniform(0.0, self.area_side))
+        message = self.node.sign(now, position, (), False)
         self._cycle_digests.append(compute_digest(message))
         return message
 
@@ -164,12 +151,4 @@ class AdversaryDriver:
         if k < alpha:
             pad = [d for d in self.node.cache.digests() if d not in claimed]
             claimed = claimed + pad[: alpha - k]
-        cam = Cam(
-            sender=self.node.node_id,
-            gen_timestamp=now,
-            position=self.node.position,
-            seq=self.node.seq,
-            claimed_digests=tuple(claimed),
-        )
-        self.node.seq += 1
-        return SignedCam(cam=cam, signature=Signature(signer=self.node.node_id, valid=True))
+        return self.node.sign(now, self.node.position, tuple(claimed), True)

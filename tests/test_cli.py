@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from coopverif.cli import _CDF_ROW, _fmt, _wait_line, export_replication, load_config, main
+from coopverif.cli import (
+    _CDF_ROW, _csv_line, _fmt, _wait_line, export_replication, load_config, main,
+)
 from coopverif.core import Digest80, NodeId
 from coopverif.engine import Disposition, DispositionKind
 from coopverif.metrics import SUMMARY_COLUMNS, MetricsLedger, pool_replications
@@ -219,13 +221,15 @@ class TestSweepCommand:
         assert rc == 2
 
     def test_every_value_validated_before_any_run(self, tmp_path):
-        out = tmp_path / "sweep"
-        rc = main([
-            "sweep", "--param", "tau", "--values", "0.005,0", "--out", str(out),
-            "--runs", "1", "--set", "n_nodes=3", "--set", "duration=1",
-        ])
-        assert rc == 2
-        assert not (out / "tau=0.005").exists()
+        # alpha=256 does not fit the encoding's one-byte claimed-digest count.
+        for param, good, bad in (("tau", "0.005", "0"), ("alpha", "5", "256")):
+            out = tmp_path / param
+            rc = main([
+                "sweep", "--param", param, "--values", f"{good},{bad}", "--out", str(out),
+                "--runs", "1", "--set", "n_nodes=3", "--set", "duration=1",
+            ])
+            assert rc == 2
+            assert not (out / f"{param}={good}").exists()
 
     @pytest.mark.parametrize(
         "bad", [["--values", "0.1,0.10"], ["--values", "0.1,0.2", "--runs", "0"]]
@@ -343,6 +347,16 @@ EDGE_FLOATS = [
 ]
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
 ids = st.integers(min_value=0, max_value=2**63)
+# Every kind of cell the CLI writes: NaN (written empty), empty strings,
+# ints, floats, hex digests, outcome and event names, scheme names and
+# sweep labels.
+cells = st.one_of(
+    st.just(math.nan), st.just(""), ids, st.integers(), finite_floats,
+    st.binary(min_size=10, max_size=10).map(bytes.hex),
+    st.sampled_from([k.value for k in DispositionKind]),
+    st.sampled_from(["report", "revocation", "baseline", "cooperative", "N", "tau",
+                     "pr_reveal_after_3", "0.00512345678912", "1e-05", "mean"]),
+)
 
 
 def csv_line(row) -> str:
@@ -376,6 +390,10 @@ class TestStreamingExport:
         row = [run, node, disp.digest.hex(), disp.sender.id, disp.enqueue_time,
                disp.outcome.value, disp.leave_queue_time, disp.waiting_time]
         assert _wait_line(run, node, disp) == csv_line(row)
+
+    @given(st.lists(cells, min_size=2, max_size=8))
+    def test_csv_line_matches_csv_writer(self, row):
+        assert _csv_line(row) == csv_line(row)
 
     @given(finite_floats, finite_floats)
     def test_cdf_row_matches_csv_writer(self, waiting, cum_prob):

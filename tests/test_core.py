@@ -10,11 +10,11 @@ from hypothesis import given, strategies as st
 
 from coopverif.core import (
     BASE_FRAME_BYTES,
+    MAX_CLAIMED,
     Cam,
     Digest80,
     NodeId,
     Role,
-    Signature,
     SignedCam,
     VerificationJob,
     compute_digest,
@@ -43,7 +43,7 @@ def make_message(
         seq=seq,
         claimed_digests=tuple(digests),
     )
-    return SignedCam(cam=cam, signature=Signature(signer=sender, valid=valid))
+    return SignedCam(cam, valid)
 
 
 def random_message(rng: random.Random) -> SignedCam:
@@ -129,6 +129,13 @@ class TestEncoding:
         )
         assert enc[51:61] == b"\xaa" * 10
         assert enc[61:] == b"\x00" * 249
+
+    def test_claim_count_byte_holds_at_most_max_claimed(self):
+        digests = [Digest80(i.to_bytes(10, "big")) for i in range(MAX_CLAIMED)]
+        enc = encode_signed_cam(make_message(digests=digests))
+        assert len(enc) == encoded_length(MAX_CLAIMED) and enc[50] == MAX_CLAIMED == 255
+        with pytest.raises(struct.error):
+            encode_signed_cam(make_message(digests=[*digests, digests[0]]))
 
 
 class TestComputeDigest:

@@ -334,7 +334,7 @@ class TestBuildOwnCam:
         node = make_node()
         msg = node.build_own_cam(now=0.05)
         assert msg.cam.claimed_digests == ()
-        assert msg.signature.valid
+        assert msg.valid
         from coopverif.core import encode_signed_cam
 
         assert len(encode_signed_cam(msg)) == 300

@@ -1,15 +1,20 @@
-"""Pinned output bundles: every CSV and effective_config.ini of a small grid.
+"""Pinned output bundles: every file a small grid of invocations writes.
 
-Each grid entry is one ``coopverif run --runs 2`` invocation.  Together they
-cover packet loss, the rejected-digest blacklist, audit mode, partial and
-empty bogus claims, a late adversary start, the baseline under attack,
+Each ``GRID`` entry is one ``coopverif run --runs 2`` invocation.  Together
+they cover packet loss, the rejected-digest blacklist, audit mode, partial
+and empty bogus claims, a late adversary start, the baseline under attack,
 ``pr_check = 1`` and a saturated verifier (``tau = 0.5``).  The adversary
 entries run at ``tau = 15 ms`` so queues are long enough for claims to match
 and senders to be revoked while one of their jobs is being verified.
 
+Each ``COMMANDS`` entry is one ``sweep`` or ``analyze`` invocation: a sweep
+over the scheme under attack, a sweep over ``tau`` whose second value needs
+more than 9 digits in its directory label, and ``analyze`` at the
+benchmark's reference point.
+
 ``tests/data/golden_bundles.json`` holds the SHA-256 of every file each
-invocation writes.  Regenerate it only for a change that alters outputs on
-purpose and says so in CHANGES.md::
+invocation writes, keyed by its path under ``--out``.  Regenerate it only
+for a change that alters outputs on purpose and says so in CHANGES.md::
 
     PYTHONPATH=src python tests/test_golden_bundles.py --write
 """
@@ -43,15 +48,36 @@ GRID = {
 }
 
 
+def _sets(items) -> list:
+    return [arg for item in items for arg in ("--set", item)]
+
+
+COMMANDS = {
+    "sweep_scheme": ["sweep", "--param", "scheme", "--values", "cooperative,baseline",
+                     "--runs", str(RUNS), *_sets([*_SMALL, "tau=0.02", "adversary.gamma_adv=10"])],
+    "sweep_tau": ["sweep", "--param", "tau", "--values", "0.004,0.00512345678912",
+                  "--runs", str(RUNS), *_sets(_SMALL)],
+    "analyze": ["analyze", "--alpha", "5", "--pr-check", "0.1", "--neighbors", "15",
+                "--votes", "5", "--trials", "20000"],
+}
+
+
+def command(name: str) -> list:
+    if name in COMMANDS:
+        return COMMANDS[name]
+    return ["run", "--runs", str(RUNS), *_sets(GRID[name])]
+
+
 def bundle_hashes(name: str, out: Path) -> dict:
-    args = ["run", "--out", str(out), "--runs", str(RUNS)]
-    for item in GRID[name]:
-        args += ["--set", item]
-    assert main(args) == 0
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert main([*command(name), "--out", str(out)]) == 0
+    return {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
 
 
-@pytest.mark.parametrize("name", sorted(GRID))
+@pytest.mark.parametrize("name", sorted([*GRID, *COMMANDS]))
 def test_bundle_matches_golden(name, tmp_path):
     expected = json.loads(GOLDEN.read_text())[name]
     assert bundle_hashes(name, tmp_path / name) == expected
@@ -59,5 +85,6 @@ def test_bundle_matches_golden(name, tmp_path):
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     with tempfile.TemporaryDirectory() as tmp:
-        golden = {name: bundle_hashes(name, Path(tmp) / name) for name in sorted(GRID)}
+        names = sorted([*GRID, *COMMANDS])
+        golden = {name: bundle_hashes(name, Path(tmp) / name) for name in names}
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")

@@ -122,7 +122,7 @@ class TestChannelTiming:
     def test_broadcast_reaches_everyone_but_sender(self):
         cfg = ScenarioConfig(n_nodes=6)
         msg = make_message(sender_id=2)
-        receivers, deliver_at, digest = broadcast(msg, 2, 1.0, cfg, 6, random.Random(0))
+        receivers, deliver_at, digest = broadcast(msg, 1.0, cfg, 6, random.Random(0))
         lost = 6 - 1 - len(receivers)
         assert lost == 0
         assert len(receivers) == 5
@@ -134,7 +134,7 @@ class TestChannelTiming:
     def test_full_loss_drops_every_delivery(self):
         cfg = ScenarioConfig(n_nodes=6, loss_prob=1.0)
         msg = make_message(sender_id=0)
-        receivers, _, _ = broadcast(msg, 0, 1.0, cfg, 6, random.Random(0))
+        receivers, _, _ = broadcast(msg, 1.0, cfg, 6, random.Random(0))
         lost = 6 - 1 - len(receivers)
         assert receivers == [] and lost == 5
 
@@ -452,6 +452,7 @@ class TestConfigValidation:
             dict(alpha=-1),
             dict(adversary=AdversaryConfig(bogus_per_claim=9)),
             dict(detection=DetectionConfig(votes_needed=0)),
+            dict(alpha=256),  # the claimed-digest count has one byte
         ],
     )
     def test_invalid_configs_rejected_before_any_work(self, bad):

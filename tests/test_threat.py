@@ -7,7 +7,7 @@ import pytest
 from coopverif.analytic import DetectionParams, pr_reveal
 from coopverif.core import Digest80, NodeId, Role, compute_digest
 from coopverif.engine import NodeState
-from coopverif.sim import DetectionConfig, ScenarioConfig, SimulationKernel
+from coopverif.sim import DetectionConfig, ScenarioConfig, SimulationKernel, beacon_times
 from coopverif.threat import (
     AdversaryConfig,
     AdversaryDriver,
@@ -20,7 +20,7 @@ from test_core import make_message
 from test_engine import make_node
 
 
-def make_driver(k=5, alpha=5, gamma_adv=10.0, start=0.0, seed="adv"):
+def make_driver(k=5, alpha=5, seed="adv"):
     node = NodeState(
         NodeId(99, Role.ADVERSARY),
         (50.0, 50.0),
@@ -30,7 +30,7 @@ def make_driver(k=5, alpha=5, gamma_adv=10.0, start=0.0, seed="adv"):
         tau=0.005,
         rng=random.Random(seed),
     )
-    cfg = AdversaryConfig(gamma_adv=gamma_adv, bogus_per_claim=k, start_time=start)
+    cfg = AdversaryConfig(bogus_per_claim=k)
     cfg.validate(alpha)
     return AdversaryDriver(node=node, config=cfg, area_side=200.0)
 
@@ -38,39 +38,57 @@ def make_driver(k=5, alpha=5, gamma_adv=10.0, start=0.0, seed="adv"):
 class TestAdversaryEmission:
     def test_cycle_structure_alpha_bogus_then_claim(self):
         driver = make_driver(k=5, alpha=5)
-        emissions = [driver.emit(driver.next_emission_time()) for _ in range(12)]
-        validity = [m.signature.valid for m in emissions]
+        emissions = [driver.emit(i / 10.0) for i in range(12)]
+        validity = [m.valid for m in emissions]
         assert validity == [False] * 5 + [True] + [False] * 5 + [True]
         claim = emissions[5]
         assert [d.value for d in claim.cam.claimed_digests] == [
             compute_digest(m).value for m in emissions[:5]
         ]
 
-    def test_emission_times_follow_gamma_adv(self):
-        driver = make_driver(gamma_adv=10.0, start=2.0)
+    @staticmethod
+    def _kernel_emissions(monkeypatch, start, duration):
+        """(every emission instant, the claims' instants) of one kernel run."""
         times, claim_times = [], []
-        for _ in range(13):
-            times.append(driver.next_emission_time())
-            if driver.emit(times[-1]).signature.valid:
-                claim_times.append(times[-1])
+        emit = AdversaryDriver.emit
+
+        def recording(driver, now):
+            frame = emit(driver, now)
+            times.append(now)
+            if frame.valid:
+                claim_times.append(now)
+            return frame
+
+        monkeypatch.setattr(AdversaryDriver, "emit", recording)
+        adversary = AdversaryConfig(gamma_adv=10.0, start_time=start)
+        SimulationKernel(ScenarioConfig(n_nodes=3, duration=duration, adversary=adversary)).run()
+        return times, claim_times
+
+    def test_emission_times_follow_gamma_adv(self, monkeypatch):
+        times, claim_times = self._kernel_emissions(monkeypatch, start=2.0, duration=3.25)
+        assert times == list(beacon_times(2.0, 10.0, 3.25))
         assert times[:7] == pytest.approx([2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6])
         # one claim per alpha + 1 emissions: a cycle period of 0.6 s
         assert claim_times == pytest.approx([2.5, 3.1])
+
+    @pytest.mark.parametrize("start", [3.25, 4.0])
+    def test_adversary_starting_at_or_after_the_end_never_emits(self, monkeypatch, start):
+        assert self._kernel_emissions(monkeypatch, start=start, duration=3.25) == ([], [])
 
     def test_rates_split_alpha_to_one(self):
         """In 60 emissions at gamma_adv=10 with alpha=5: 50 bogus, 10 claims,
         matching bogus rate alpha/(alpha+1) and claim rate 1/(alpha+1)."""
         driver = make_driver()
-        emissions = [driver.emit(driver.next_emission_time()) for _ in range(60)]
-        bogus = sum(1 for m in emissions if not m.signature.valid)
-        claims = sum(1 for m in emissions if m.signature.valid)
+        emissions = [driver.emit(i / 10.0) for i in range(60)]
+        bogus = sum(1 for m in emissions if not m.valid)
+        claims = sum(1 for m in emissions if m.valid)
         assert (bogus, claims) == (50, 10)
 
     def test_reduced_claim_pads_with_genuine_digests(self):
         driver = make_driver(k=2, alpha=5)
         for i in range(4):  # adversary has verified a few real messages
             driver.node.cache.record(Digest80(bytes([i + 1]) * 10), float(i))
-        emissions = [driver.emit(driver.next_emission_time()) for _ in range(6)]
+        emissions = [driver.emit(i / 10.0) for i in range(6)]
         claim = emissions[5]
         bogus_digests = {compute_digest(m).value for m in emissions[:5]}
         claimed = [d.value for d in claim.cam.claimed_digests]
@@ -82,12 +100,12 @@ class TestAdversaryEmission:
 
     def test_reduced_claim_with_empty_cache_sends_fewer(self):
         driver = make_driver(k=2, alpha=5)
-        emissions = [driver.emit(driver.next_emission_time()) for _ in range(6)]
+        emissions = [driver.emit(i / 10.0) for i in range(6)]
         assert len(emissions[5].cam.claimed_digests) == 2
 
     def test_k_zero_claims_nothing_bogus(self):
         driver = make_driver(k=0, alpha=5)
-        emissions = [driver.emit(driver.next_emission_time()) for _ in range(6)]
+        emissions = [driver.emit(i / 10.0) for i in range(6)]
         bogus_digests = {compute_digest(m).value for m in emissions[:5]}
         claimed = {d.value for d in emissions[5].cam.claimed_digests}
         assert not claimed & bogus_digests
@@ -95,7 +113,7 @@ class TestAdversaryEmission:
     def test_bogus_messages_are_well_formed(self):
         driver = make_driver()
         msg = driver.emit(0.0)
-        assert not msg.signature.valid
+        assert not msg.valid
         assert 0.0 <= msg.cam.position[0] <= 200.0
         assert msg.cam.sender.role is Role.ADVERSARY
 
