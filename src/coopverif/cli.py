@@ -337,7 +337,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"unknown sweep parameter {args.param!r}; choose from {sorted(_SWEEP_PARAMS)}"
         )
     field_name = _SWEEP_PARAMS[args.param]
-    values = [v for v in args.values.split(",") if v.strip()]
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
     if args.runs < 1:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from .core import Cam, Digest80, NodeId, SignedCam, VerificationJob
@@ -45,10 +46,14 @@ class DispositionKind(Enum):
     __hash__ = object.__hash__
 
 
-ACCEPTED_KINDS = (
-    DispositionKind.SIGNATURE_ACCEPTED,
-    DispositionKind.COOPERATIVELY_ACCEPTED,
-)
+# The per-event path compares outcomes against these module names: on
+# Python 3.11 looking a member up on its Enum class costs about 0.1 us.
+SIGNATURE_ACCEPTED = DispositionKind.SIGNATURE_ACCEPTED
+COOPERATIVELY_ACCEPTED = DispositionKind.COOPERATIVELY_ACCEPTED
+REJECTED_INVALID = DispositionKind.REJECTED_INVALID
+PURGED_REVOKED = DispositionKind.PURGED_REVOKED
+
+ACCEPTED_KINDS = (SIGNATURE_ACCEPTED, COOPERATIVELY_ACCEPTED)
 
 
 @dataclass(slots=True)
@@ -95,23 +100,20 @@ class QueueInvariantError(AssertionError):
 class VerificationQueue:
     """Pending jobs, spot-checked prefix first, with a digest index.
 
-    The index is keyed by the digest's raw bytes; these lookups sit on the
-    simulator's hottest path.
+    ``index`` maps each queued job's digest bytes to the job; claim scans
+    read it directly, on the simulator's hottest path.
     """
 
-    __slots__ = ("jobs", "_index", "checked_count", "duplicates_dropped")
+    __slots__ = ("jobs", "index", "checked_count", "duplicates_dropped")
 
     def __init__(self) -> None:
         self.jobs: List[VerificationJob] = []
-        self._index: dict[bytes, VerificationJob] = {}
+        self.index: dict[bytes, VerificationJob] = {}
         self.checked_count = 0
         self.duplicates_dropped = 0
 
     def __len__(self) -> int:
         return len(self.jobs)
-
-    def find(self, digest: Digest80) -> Optional[VerificationJob]:
-        return self._index.get(digest.value)
 
     def insert_random(self, job: VerificationJob, rng: random.Random) -> bool:
         """Insert at a uniform position within the unchecked suffix.
@@ -121,30 +123,30 @@ class VerificationQueue:
         counts a duplicate) if the digest is already queued.
         """
         key = job.digest.value
-        if key in self._index:
+        if key in self.index:
             self.duplicates_dropped += 1
             return False
         checked = self.checked_count
         pos = checked + int(rng.random() * (len(self.jobs) - checked + 1))
         self.jobs.insert(pos, job)
-        self._index[key] = job
+        self.index[key] = job
         return True
 
     def append(self, job: VerificationJob) -> bool:
         """FCFS insertion at the tail (baseline discipline)."""
         key = job.digest.value
-        if key in self._index:
+        if key in self.index:
             self.duplicates_dropped += 1
             return False
         self.jobs.append(job)
-        self._index[key] = job
+        self.index[key] = job
         return True
 
     def pop_head(self) -> VerificationJob:
         job = self.jobs.pop(0)
         if job.b:
             self.checked_count -= 1
-        del self._index[job.digest.value]
+        del self.index[job.digest.value]
         return job
 
     def promote(self, digest: Digest80, checked_by: Tuple[NodeId, Digest80]) -> VerificationJob:
@@ -154,7 +156,7 @@ class VerificationQueue:
         is reinserted immediately after the last already-flagged job, so
         spot checks are served before ordinary arrivals.
         """
-        job = self._index[digest.value]
+        job = self.index[digest.value]
         if job.b:
             raise QueueInvariantError("promote() on an already-checked job")
         idx = self.jobs.index(job, self.checked_count)
@@ -167,7 +169,7 @@ class VerificationQueue:
 
     def remove(self, digest: Digest80) -> VerificationJob:
         """Remove a queued job (cooperative acceptance path)."""
-        job = self._index.pop(digest.value)
+        job = self.index.pop(digest.value)
         start = 0 if job.b else self.checked_count
         idx = self.jobs.index(job, start)
         self.jobs.pop(idx)
@@ -179,7 +181,7 @@ class VerificationQueue:
         """Empty the queue in one step; the jobs come back in queue order."""
         jobs = self.jobs
         self.jobs = []
-        self._index = {}
+        self.index = {}
         self.checked_count = 0
         return jobs
 
@@ -189,7 +191,7 @@ class VerificationQueue:
         if purged:
             self.jobs = [j for j in self.jobs if j.message.cam.sender.id != sender_id]
             for job in purged:
-                del self._index[job.digest.value]
+                del self.index[job.digest.value]
                 if job.b:
                     self.checked_count -= 1
         return purged
@@ -201,10 +203,10 @@ class VerificationQueue:
             raise QueueInvariantError(
                 f"checked jobs not a contiguous prefix: {flags}, count={self.checked_count}"
             )
-        if len(self._index) != len(self.jobs):
+        if len(self.index) != len(self.jobs):
             raise QueueInvariantError("digest index size mismatch")
         for job in self.jobs:
-            if self._index.get(job.digest.value) is not job:
+            if self.index.get(job.digest.value) is not job:
                 raise QueueInvariantError("digest index points at a different job")
 
 
@@ -215,33 +217,63 @@ class VerifiedCache:
     reception or verification order.  Only messages this node
     signature-verified itself may enter; cooperatively accepted ones never
     do.
+
+    A node verifies far more messages than it sends beacons, so ``record``
+    only appends to a pending buffer.  The buffer settles on read
+    (``digests()``, ``entries``, ``len``) or once it holds more than
+    ``PENDING_FACTOR * capacity`` records, which bounds its memory.
+    Settling stable-sorts the entries and then the pending records, newest
+    timestamp first, keeps each digest's first occurrence and cuts to
+    ``capacity``.  That equals inserting the records one at a time behind
+    every entry at least as new and evicting the oldest: among equal
+    timestamps the earlier record wins.  A digest recorded twice is the same
+    encoding, hence the same timestamp, so the repeat changes nothing.
     """
 
-    __slots__ = ("capacity", "entries", "_present")
+    PENDING_FACTOR = 8
+
+    __slots__ = ("capacity", "_entries", "_pending", "_limit")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError("cache capacity must be >= 0")
         self.capacity = capacity
-        self.entries: List[Tuple[float, Digest80]] = []  # gen timestamp desc
-        self._present: set[bytes] = set()
+        self._entries: List[Tuple[float, Digest80]] = []  # settled, gen timestamp desc
+        self._pending: List[Tuple[float, Digest80]] = []  # record order
+        self._limit = self.PENDING_FACTOR * capacity
 
     def __len__(self) -> int:
         return len(self.entries)
 
+    @property
+    def entries(self) -> List[Tuple[float, Digest80]]:
+        """``(gen timestamp, digest)`` pairs, newest first."""
+        if self._pending:
+            self._settle()
+        return self._entries
+
     def record(self, digest: Digest80, cam_timestamp: float) -> None:
-        if self.capacity == 0 or digest.value in self._present:
+        if self.capacity == 0:
             return
-        entries = self.entries
-        if len(entries) == self.capacity and cam_timestamp <= entries[-1][0]:
-            return  # older than everything cached
-        pos = 0
-        while pos < len(entries) and entries[pos][0] >= cam_timestamp:
-            pos += 1
-        entries.insert(pos, (cam_timestamp, digest))
-        self._present.add(digest.value)
-        if len(entries) > self.capacity:
-            self._present.discard(entries.pop()[1].value)
+        pending = self._pending
+        pending.append((cam_timestamp, digest))
+        if len(pending) > self._limit:
+            self._settle()
+
+    def _settle(self) -> None:
+        merged = self._entries + self._pending
+        self._pending = []
+        merged.sort(key=itemgetter(0), reverse=True)  # stable: ties keep record order
+        kept: List[Tuple[float, Digest80]] = []
+        seen: set[bytes] = set()
+        for entry in merged:
+            key = entry[1].value
+            if key not in seen:
+                seen.add(key)
+                kept.append(entry)
+                if len(kept) == self.capacity:
+                    break
+        self._entries = kept
 
     def digests(self) -> Tuple[Digest80, ...]:
         return tuple(d for _, d in self.entries)
@@ -291,6 +323,8 @@ class NodeState:
         self.seq = 0
         self.receptions = 0
         self.verifications_completed = 0
+        self.claims_matched = 0  # queued, unchecked jobs hit by a claim
+        self.spot_checks_set = 0  # matches that drew the check branch
         self.rejected_digests: set[Digest80] = set()
         self._coop_accepted: set[Digest80] = set()  # audit provenance only
 
@@ -298,7 +332,7 @@ class NodeState:
 
     def receive(self, message: SignedCam, digest: Digest80, now: float) -> Optional[VerificationJob]:
         """Queue one delivered frame; returns None for a duplicate digest."""
-        job = VerificationJob(message=message, digest=digest, enqueue_time=now)
+        job = VerificationJob(message, digest, now)
         if self.cooperative:
             accepted = self.queue.insert_random(job, self.rng)
         else:
@@ -341,14 +375,14 @@ class NodeState:
         self.in_flight = None
         self.verifications_completed += 1
         if revoked:
-            outcome = DispositionKind.PURGED_REVOKED
+            outcome = PURGED_REVOKED
         elif job.message.valid:
-            outcome = DispositionKind.SIGNATURE_ACCEPTED
+            outcome = SIGNATURE_ACCEPTED
             if self.audit and job.digest in self._coop_accepted:
                 raise QueueInvariantError("cooperatively accepted digest re-verified")
             self.cache.record(job.digest, job.message.cam.gen_timestamp)
         else:
-            outcome = DispositionKind.REJECTED_INVALID
+            outcome = REJECTED_INVALID
             if self.blacklist_rejected:
                 self.rejected_digests.add(job.digest)
         return outcome
@@ -362,29 +396,37 @@ class NodeState:
         either flagged for a spot check (probability ``pr_check``, recording
         the claimant for later attribution) or accepted cooperatively and
         removed, its waiting ending at the caller's current time.  Digests
-        that are absent or already flagged are ignored.
+        that are absent or already flagged are ignored.  The node's
+        ``claims_matched`` and ``spot_checks_set`` grow by the returned
+        ``matched`` and ``spot_checked``.
         """
         claimant = accepted.cam.sender
-        result = ClaimApplication([], 0, 0, [])
+        queue = self.queue
+        queued = queue.index.get
+        accepted_jobs: List[VerificationJob] = []
+        blacklist_hits: List[Tuple[NodeId, Digest80, Digest80]] = []
+        matched = spot_checked = 0
         for claimed in accepted.cam.claimed_digests:
-            job = self.queue.find(claimed)
+            job = queued(claimed.value)
             if job is not None:
                 if job.b:
                     continue
-                result.matched += 1
+                matched += 1
                 if self.rng.random() < self.pr_check:
-                    self.queue.promote(claimed, (claimant, claim_digest))
-                    result.spot_checked += 1
+                    queue.promote(claimed, (claimant, claim_digest))
+                    spot_checked += 1
                 else:
-                    self.queue.remove(claimed)
+                    queue.remove(claimed)
                     if self.audit:
                         self._coop_accepted.add(claimed)
-                    result.accepted_jobs.append(job)
+                    accepted_jobs.append(job)
             elif self.blacklist_rejected and claimed in self.rejected_digests:
-                result.blacklist_hits.append((claimant, claim_digest, claimed))
+                blacklist_hits.append((claimant, claim_digest, claimed))
         if self.audit:
-            self.queue.audit()
-        return result
+            queue.audit()
+        self.claims_matched += matched
+        self.spot_checks_set += spot_checked
+        return ClaimApplication(accepted_jobs, matched, spot_checked, blacklist_hits)
 
     # -- beacon generation ---------------------------------------------------
 

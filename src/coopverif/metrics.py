@@ -4,10 +4,11 @@ A run produces one :class:`MetricsLedger`: per-message disposition records
 for the evaluated node (every node with ``record_all``), per-node counters
 for conservation checks, node 0's queue length per second, and the
 report/revocation event log.  The evaluated node's waiting samples and its
-per-second time series are read from its rows.  ``summarize`` flattens a
-ledger into the scalar row exported to ``summary.csv``;
-:func:`pool_replications` merges several seeded runs the way the
-experiments are reported (pooled waiting samples, averaged scalars).
+per-second time series are read from its accepted rows, which the ledger
+indexes as it records them.  ``summarize`` flattens a ledger into the
+scalar row exported to ``summary.csv``; :func:`pool_replications` merges
+several seeded runs the way the experiments are reported (pooled waiting
+samples, averaged scalars).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .core import VerificationJob
-from .engine import ACCEPTED_KINDS, Disposition, DispositionKind
+from .engine import ACCEPTED_KINDS, COOPERATIVELY_ACCEPTED, Disposition, DispositionKind
 from .threat import MisbehaviorReport
 
 SUMMARY_COLUMNS = [
@@ -79,12 +80,15 @@ class MetricsLedger:
     # Per-message rows: (node_id, Disposition).  Always kept for the
     # evaluated node; for every node when record_all is set.
     records: List[Tuple[int, Disposition]] = field(default_factory=list)
+    # The evaluated node's rows of accepted messages, in record order: the
+    # rows its waiting samples and time series are read from.
+    accepted_rows: List[Disposition] = field(default_factory=list)
     # Per-node outcome counts, kept for all nodes (conservation audits).
     outcome_counts: Dict[int, Counter] = field(default_factory=dict)
     receptions: Dict[int, int] = field(default_factory=dict)
     duplicates: Dict[int, int] = field(default_factory=dict)
-    claims_matched: Dict[int, int] = field(default_factory=dict)
-    spot_checks_set: Dict[int, int] = field(default_factory=dict)
+    claims_matched: Dict[int, int] = field(default_factory=dict)  # copied at the run end
+    spot_checks_set: Dict[int, int] = field(default_factory=dict)  # copied at the run end
     verifications_completed: Dict[int, int] = field(default_factory=dict)
 
     # Evaluated-node queue length sampled at integer seconds 0..duration.
@@ -116,26 +120,21 @@ class MetricsLedger:
         if counts is None:
             counts = self.outcome_counts[node_id] = Counter()
         counts[outcome] += 1
-        if outcome is DispositionKind.COOPERATIVELY_ACCEPTED and not job.message.valid:
+        if outcome is COOPERATIVELY_ACCEPTED and not job.message.valid:
             self.bogus_accepted[node_id] = self.bogus_accepted.get(node_id, 0) + 1
-        if self.record_all or node_id == self.evaluated_node:
-            self.records.append((node_id, Disposition.of(outcome, job, left_at)))
-
-    def record_claims(self, node_id: int, matched: int, spot_checked: int) -> None:
-        self.claims_matched[node_id] = self.claims_matched.get(node_id, 0) + matched
-        self.spot_checks_set[node_id] = self.spot_checks_set.get(node_id, 0) + spot_checked
+        evaluated = node_id == self.evaluated_node
+        if self.record_all or evaluated:
+            row = Disposition.of(outcome, job, left_at)
+            self.records.append((node_id, row))
+            if evaluated and outcome in ACCEPTED_KINDS:
+                self.accepted_rows.append(row)
 
     # -- derived views ---------------------------------------------------------
-
-    def _accepted_rows(self) -> List[Disposition]:
-        """The evaluated node's rows of accepted messages, in record order."""
-        nid = self.evaluated_node
-        return [d for node, d in self.records if node == nid and d.outcome in ACCEPTED_KINDS]
 
     @property
     def waiting_samples(self) -> List[float]:
         """Evaluated-node waiting times of accepted messages, in record order."""
-        return [d.waiting_time for d in self._accepted_rows()]
+        return [d.waiting_time for d in self.accepted_rows]
 
     def node_counts(self, node_id: int) -> Counter:
         return self.outcome_counts.get(node_id, Counter())
@@ -163,7 +162,7 @@ class MetricsLedger:
         """(second, mean accepted waiting that second, queue length) rows."""
         sums: Dict[int, float] = {}
         counts: Counter = Counter()
-        for d in self._accepted_rows():
+        for d in self.accepted_rows:
             sec = int(d.leave_queue_time)
             sums[sec] = sums.get(sec, 0.0) + d.waiting_time
             counts[sec] += 1

@@ -8,10 +8,11 @@ rates and the verification delay ``tau``, so the kernel's job is exact
 bookkeeping: one run is fully determined by its configuration and seed,
 with event ties broken by (time, event-kind rank, sequence number).
 
-Each transmitted frame is one heap event: its delivery carries the ids of
-every node that receives it, and the kernel hands the frame to them in
-ascending id order.  A run ends by checking that every node gave each of
-its receptions exactly one outcome.
+Heap entries are plain ``(time, kind, seq, payload)`` tuples (see
+:class:`EventKind`), unpacked once per pop.  Each transmitted frame is one
+entry: its delivery carries the ids of every node that receives it, and the
+kernel hands the frame to them in ascending id order.  A run ends by
+checking that every node gave each of its receptions exactly one outcome.
 
 Two verification schemes are wired in: ``cooperative`` (random queue
 insertion, claim scanning, probabilistic spot checks) and ``baseline``
@@ -27,10 +28,16 @@ import random
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from heapq import heappop, heappush
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .core import MAX_CLAIMED, Digest80, NodeId, Role, SignedCam, compute_digest, encode_signed_cam
-from .engine import DispositionKind, NodeState
+from .engine import (
+    COOPERATIVELY_ACCEPTED,
+    REJECTED_INVALID,
+    SIGNATURE_ACCEPTED,
+    DispositionKind,
+    NodeState,
+)
 from .metrics import MetricsLedger, ReplicationResult, pool_replications
 from .threat import AdversaryConfig, AdversaryDriver, MisbehaviorReport, RevocationRegistry, detect_false_claim
 
@@ -101,8 +108,15 @@ class ScenarioConfig:
 
 
 class EventKind(IntEnum):
-    """Tie-break rank is the enum value: generations before deliveries
-    before verification completions, run end last."""
+    """Kind slot of a heap entry ``(time, kind, seq, payload)``.
+
+    Entries order by time, then by kind (the enum value: generations before
+    deliveries before verification completions, run end last), then by the
+    push sequence number.  Payloads by kind: ``(node_id,)`` for a
+    generation, ``(receivers, frame, digest)`` for a frame's delivery to all
+    its receivers, ``(node_id, job)`` for a completion, ``()`` for the run
+    end.
+    """
 
     CAM_GENERATION = 0
     FRAME_DELIVERY = 1
@@ -110,15 +124,9 @@ class EventKind(IntEnum):
     RUN_END = 3
 
 
-class Event(NamedTuple):
-    """One heap entry.  Payloads by kind: ``(node_id,)`` for a generation,
-    ``(receivers, frame, digest)`` for a frame's delivery to all its
-    receivers, ``(node_id, job)`` for a completion, ``()`` for the run end."""
-
-    time: float
-    kind: EventKind
-    seq: int
-    payload: tuple
+_GENERATION = EventKind.CAM_GENERATION
+_DELIVERY = EventKind.FRAME_DELIVERY
+_COMPLETION = EventKind.VERIFICATION_COMPLETE
 
 
 def place_nodes(config: ScenarioConfig, rng: random.Random) -> List[Tuple[float, float]]:
@@ -236,15 +244,12 @@ class SimulationKernel:
             record_all=config.record_all_nodes,
         )
         self._seq = itertools.count()
-        self._heap: List[Event] = []
+        self._heap: List[tuple] = []
         for i, times in enumerate(self._beacons):
             first = next(times, config.duration)
             if first < config.duration:
-                heappush(self._heap, Event(first, EventKind.CAM_GENERATION, next(self._seq), (i,)))
-        heappush(
-            self._heap,
-            Event(config.duration, EventKind.RUN_END, next(self._seq), ()),
-        )
+                heappush(self._heap, (first, _GENERATION, next(self._seq), (i,)))
+        heappush(self._heap, (config.duration, EventKind.RUN_END, next(self._seq), ()))
 
     # -- event handlers ------------------------------------------------------
 
@@ -256,25 +261,15 @@ class SimulationKernel:
             frame = self.nodes[node_id].build_own_cam(now)
         nxt = next(self._beacons[node_id], cfg.duration)
         if nxt < cfg.duration:
-            heappush(self._heap, Event(nxt, EventKind.CAM_GENERATION, next(self._seq), (node_id,)))
+            heappush(self._heap, (nxt, _GENERATION, next(self._seq), (node_id,)))
         receivers, deliver_at, digest = broadcast(frame, now, cfg, self.total_nodes, self.channel_rng)
         self.ledger.lost_frames += self.total_nodes - 1 - len(receivers)
         if receivers:
-            heappush(
-                self._heap,
-                Event(deliver_at, EventKind.FRAME_DELIVERY, next(self._seq),
-                      (receivers, frame, digest)),
-            )
+            heappush(self._heap, (deliver_at, _DELIVERY, next(self._seq), (receivers, frame, digest)))
 
     def _start_verification(self, node: NodeState, now: float) -> None:
         job = node.pop_and_verify(now)
-        heappush(
-            self._heap,
-            Event(
-                now + node.tau, EventKind.VERIFICATION_COMPLETE, next(self._seq),
-                (node.node_id.id, job),
-            ),
-        )
+        heappush(self._heap, (now + node.tau, _COMPLETION, next(self._seq), (node.node_id.id, job)))
 
     def _handle_completion(self, node_id: int, job, now: float) -> None:
         node = self.nodes[node_id]
@@ -284,15 +279,12 @@ class SimulationKernel:
         if node_id == 0:
             ledger.busy_time += node.tau
         ledger.record_disposition(node_id, outcome, job, node.popped_at)
-        if outcome is DispositionKind.SIGNATURE_ACCEPTED:
+        if outcome is SIGNATURE_ACCEPTED:
             if node.cooperative:
                 app = node.apply_claims(job.message, job.digest)
                 for accepted in app.accepted_jobs:
-                    ledger.record_disposition(
-                        node_id, DispositionKind.COOPERATIVELY_ACCEPTED, accepted, now
-                    )
-                ledger.record_claims(node_id, app.matched, app.spot_checked)
-                if node.node_id.role is Role.BENIGN:
+                    ledger.record_disposition(node_id, COOPERATIVELY_ACCEPTED, accepted, now)
+                if app.blacklist_hits and node.node_id.role is Role.BENIGN:
                     for claimant, claim_digest, bogus_digest in app.blacklist_hits:
                         self._submit_report(
                             MisbehaviorReport(
@@ -303,11 +295,11 @@ class SimulationKernel:
                                 time=now,
                             )
                         )
-        elif outcome is DispositionKind.REJECTED_INVALID:
+        elif outcome is REJECTED_INVALID:
             report = detect_false_claim(node.node_id, job, now)
             if report is not None and node.node_id.role is Role.BENIGN:
                 self._submit_report(report)
-        if len(node.queue):
+        if node.queue.jobs:
             self._start_verification(node, now)
 
     def _submit_report(self, report: MisbehaviorReport) -> None:
@@ -336,20 +328,20 @@ class SimulationKernel:
         last_second = int(math.floor(cfg.duration))
         next_sample = 0
         samples = self.ledger.queue_len_samples
-        delivery = EventKind.FRAME_DELIVERY
-        generation = EventKind.CAM_GENERATION
-        run_end = EventKind.RUN_END
+        completion = _COMPLETION
+        delivery = _DELIVERY
+        generation = _GENERATION
+        handle_completion = self._handle_completion
+        start_verification = self._start_verification
         while heap:
-            ev = pop(heap)
-            kind = ev.kind
-            if kind is run_end:
-                break
-            t = ev.time
+            t, kind, _, payload = pop(heap)
             while next_sample <= t and next_sample <= last_second:
                 samples.append(len(node0_jobs))
                 next_sample += 1
-            if kind is delivery:
-                receivers, frame, digest = ev.payload
+            if kind is completion:
+                handle_completion(payload[0], payload[1], t)
+            elif kind is delivery:
+                receivers, frame, digest = payload
                 if frame.cam.sender.id in revoked:
                     dropped += len(receivers)
                     continue
@@ -358,12 +350,11 @@ class SimulationKernel:
                 for rid in receivers:
                     node = nodes[rid]
                     if node.receive(frame, digest, t) is not None and node.in_flight is None:
-                        self._start_verification(node, t)
+                        start_verification(node, t)
             elif kind is generation:
-                self._handle_generation(ev.payload[0], t)
+                self._handle_generation(payload[0], t)
             else:
-                nid, job = ev.payload
-                self._handle_completion(nid, job, t)
+                break  # the run end
         while next_sample <= last_second:
             samples.append(len(node0_jobs))
             next_sample += 1
@@ -391,6 +382,8 @@ class SimulationKernel:
             ledger.receptions[nid] = node.receptions
             ledger.duplicates[nid] = node.queue.duplicates_dropped
             ledger.verifications_completed[nid] = node.verifications_completed
+            ledger.claims_matched[nid] = node.claims_matched
+            ledger.spot_checks_set[nid] = node.spot_checks_set
             outcomes = sum(ledger.node_counts(nid).values())
             if outcomes != node.receptions:
                 raise ConservationError(

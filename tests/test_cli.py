@@ -14,7 +14,7 @@ from coopverif.cli import (
     _CDF_ROW, _csv_line, _fmt, _wait_line, export_replication, load_config, main,
 )
 from coopverif.core import Digest80, NodeId
-from coopverif.engine import Disposition, DispositionKind
+from coopverif.engine import ACCEPTED_KINDS, Disposition, DispositionKind
 from coopverif.metrics import SUMMARY_COLUMNS, MetricsLedger, pool_replications
 from coopverif.sim import ConfigError
 
@@ -216,6 +216,18 @@ class TestSweepCommand:
         assert (out / "scheme=baseline").is_dir()
         assert (out / "scheme=cooperative").is_dir()
 
+    def test_values_are_stripped_of_whitespace(self, tmp_path):
+        common = ["--runs", "1", "--set", "duration=2", "--set", "n_nodes=4", "--set", "seed=1"]
+        plain, spaced = tmp_path / "plain", tmp_path / "spaced"
+        assert main(["sweep", "--param", "scheme", "--values", "cooperative,baseline",
+                     "--out", str(plain), *common]) == 0
+        assert main(["sweep", "--param", "scheme", "--values", " cooperative, baseline ",
+                     "--out", str(spaced), *common]) == 0
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == ["combined.csv", "scheme=baseline", "scheme=cooperative"]
+        assert sorted(p.name for p in spaced.iterdir()) == names
+        assert filecmp.cmp(plain / "combined.csv", spaced / "combined.csv", shallow=False)
+
     def test_unknown_param_exits_2(self, tmp_path):
         rc = main(["sweep", "--param", "bogosity", "--values", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -378,6 +390,8 @@ def synthetic_result(rows_per_run: int, runs: int = 1):
             disp = Disposition(kinds[i % len(kinds)], Digest80(i.to_bytes(10, "big")),
                                senders[(i + 1) % 30], enqueue, enqueue + (i % 97) * 1e-3, True)
             ledger.records.append((i % 30, disp))
+            if i % 30 == 0 and disp.outcome in ACCEPTED_KINDS:
+                ledger.accepted_rows.append(disp)  # as record_disposition indexes node 0's
         ledgers.append(ledger)
     return pool_replications(ledgers)
 

@@ -142,9 +142,10 @@ class TestPopAndVerify:
         job = make_job()
         node.receive(job.message, job.digest, now=0.2)
         kernel._start_verification(node, 0.25)
-        (done,) = [e for e in kernel._heap if e.kind is EventKind.VERIFICATION_COMPLETE]
-        assert done.time == 0.25 + node.tau
-        assert done.payload == (0, node.in_flight)
+        (done,) = [e for e in kernel._heap if e[1] is EventKind.VERIFICATION_COMPLETE]
+        time, _, _, payload = done
+        assert time == 0.25 + node.tau
+        assert payload == (0, node.in_flight)
 
     def test_revoked_sender_purged_without_side_effects(self):
         node = make_node(blacklist_rejected=True)
@@ -327,6 +328,80 @@ class TestVerifiedCache:
         cache = VerifiedCache(0)
         cache.record(Digest80(b"\x01" * 10), 1.0)
         assert len(cache) == 0
+
+
+class SequentialCache:
+    """The cache's earlier insert-and-evict rule, one record at a time:
+    the oracle of the settle-on-read cache."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = []  # gen timestamp desc
+        self._present = set()
+
+    def record(self, digest, cam_timestamp):
+        if self.capacity == 0 or digest.value in self._present:
+            return
+        entries = self.entries
+        if len(entries) == self.capacity and cam_timestamp <= entries[-1][0]:
+            return  # older than everything cached
+        pos = 0
+        while pos < len(entries) and entries[pos][0] >= cam_timestamp:
+            pos += 1
+        entries.insert(pos, (cam_timestamp, digest))
+        self._present.add(digest.value)
+        if len(entries) > self.capacity:
+            self._present.discard(entries.pop()[1].value)
+
+    def digests(self):
+        return tuple(d for _, d in self.entries)
+
+
+class TestVerifiedCacheModel:
+    """The buffered cache against the sequential rule, read mid-sequence."""
+
+    @staticmethod
+    def _pool(rng, size):
+        # A digest always comes with its message's one timestamp; the small
+        # timestamp grid makes ties between distinct digests common.
+        return [
+            (Digest80(rng.getrandbits(80).to_bytes(10, "big")), float(rng.randint(0, 12)))
+            for _ in range(size)
+        ]
+
+    def test_every_read_matches_the_sequential_rule(self):
+        rng = random.Random(20261019)
+        for trial in range(400):
+            capacity = trial % 7
+            cache, oracle = VerifiedCache(capacity), SequentialCache(capacity)
+            pool = self._pool(rng, rng.randint(1, 30))  # small pools repeat pairs
+            for _ in range(rng.randint(0, 120)):
+                digest, ts = rng.choice(pool)
+                cache.record(digest, ts)
+                oracle.record(digest, ts)
+                read = rng.random()
+                if read < 0.1:
+                    assert cache.digests() == oracle.digests()
+                elif read < 0.2:
+                    assert cache.entries == oracle.entries
+                elif read < 0.3:
+                    assert len(cache) == len(oracle.entries)
+            assert cache.entries == oracle.entries
+            assert cache.digests() == oracle.digests()
+            assert len(cache) == len(oracle.entries)
+
+    @pytest.mark.parametrize("capacity", range(7))
+    def test_pending_buffer_stays_bounded_without_reads(self, capacity):
+        rng = random.Random(capacity)
+        cache, oracle = VerifiedCache(capacity), SequentialCache(capacity)
+        pool = self._pool(rng, 500)
+        bound = VerifiedCache.PENDING_FACTOR * capacity
+        for _ in range(10_000):
+            digest, ts = rng.choice(pool)
+            cache.record(digest, ts)
+            oracle.record(digest, ts)
+            assert len(cache._pending) <= bound
+        assert cache.entries == oracle.entries
 
 
 class TestBuildOwnCam:

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from coopverif.core import Role, VerificationJob, compute_digest
-from coopverif.engine import DispositionKind
+from coopverif.engine import DispositionKind, NodeState
 from coopverif.metrics import MetricsLedger
 from coopverif.sim import (
     AdversaryConfig,
@@ -142,7 +142,7 @@ class TestChannelTiming:
 class TestFanOut:
     @staticmethod
     def _deliveries(kernel):
-        return [e for e in kernel._heap if e.kind is EventKind.FRAME_DELIVERY]
+        return [e for e in kernel._heap if e[1] is EventKind.FRAME_DELIVERY]
 
     def test_one_delivery_event_per_generation(self):
         kernel = SimulationKernel(ScenarioConfig(n_nodes=12, duration=1.0, loss_prob=0.5, seed=4))
@@ -150,7 +150,7 @@ class TestFanOut:
         kernel._handle_generation(3, 0.05)
         (delivery,) = self._deliveries(kernel)
         assert len(kernel._heap) == before + 2  # the delivery and node 3's next beacon
-        receivers, frame, digest = delivery.payload
+        _, _, _, (receivers, frame, digest) = delivery
         assert 0 < len(receivers) < 11 and 3 not in receivers
         assert receivers == sorted(receivers)
         assert len(receivers) + kernel.ledger.lost_frames == 12 - 1
@@ -298,6 +298,40 @@ class TestLazyRecords:
         assert lean.records == [row for row in full.records if row[0] == 0]
         assert {nid for nid, _ in lean.records} == {0}
         assert len(full.records) == sum(full.receptions.values())
+
+    def test_accepted_row_index_equals_a_scan_of_the_rows(self):
+        cfg = short_config(n_nodes=8, duration=5.0, tau=0.02, seed=31, adversary=AdversaryConfig(),
+                           detection=DetectionConfig(votes_needed=2))
+        for record_all in (False, True):
+            ledger = run_scenario(replace(cfg, record_all_nodes=record_all))
+            scanned = [d for nid, d in ledger.records if nid == 0 and d.outcome in ACCEPTED]
+            assert scanned and ledger.accepted_rows == scanned
+            assert all(a is b for a, b in zip(ledger.accepted_rows, scanned))
+
+
+class TestClaimCounters:
+    def test_node_counters_sum_every_claim_application(self, monkeypatch):
+        apply_claims = NodeState.apply_claims
+        matched, spot_checked = {}, {}
+
+        def summing(node, accepted, claim_digest):
+            app = apply_claims(node, accepted, claim_digest)
+            nid = node.node_id.id
+            matched[nid] = matched.get(nid, 0) + app.matched
+            spot_checked[nid] = spot_checked.get(nid, 0) + app.spot_checked
+            return app
+
+        monkeypatch.setattr(NodeState, "apply_claims", summing)
+        cfg = short_config(n_nodes=8, duration=5.0, tau=0.02, seed=31, pr_check=0.3,
+                           adversary=AdversaryConfig(), record_all_nodes=True,
+                           detection=DetectionConfig(votes_needed=2))
+        kernel = SimulationKernel(cfg)
+        ledger = kernel.run()
+        assert ledger.revocations and sum(spot_checked.values()) > 0
+        for nid in range(kernel.total_nodes):
+            assert ledger.claims_matched[nid] == matched.get(nid, 0), f"node {nid}"
+            assert ledger.spot_checks_set[nid] == spot_checked.get(nid, 0), f"node {nid}"
+        assert ledger.summarize(0)["claims_matched"] == matched[0]
 
     def test_negative_waiting_raises_for_a_node_without_rows(self):
         ledger = MetricsLedger(seed=0, scheme="cooperative", duration=1.0)
