@@ -331,8 +331,8 @@ class TestVerifiedCache:
 
 
 class SequentialCache:
-    """The cache's earlier insert-and-evict rule, one record at a time:
-    the oracle of the settle-on-read cache."""
+    """Insert-and-evict one record at a time: the rule the settle-on-read
+    cache must equal, kept as its oracle."""
 
     def __init__(self, capacity):
         self.capacity = capacity
