@@ -308,6 +308,14 @@ class TestLazyRecords:
             assert scanned and ledger.accepted_rows == scanned
             assert all(a is b for a, b in zip(ledger.accepted_rows, scanned))
 
+    def test_negative_waiting_raises_for_a_node_without_rows(self):
+        ledger = MetricsLedger(seed=0, scheme="cooperative", duration=1.0)
+        msg = make_message(sender_id=1)
+        job = VerificationJob(message=msg, digest=compute_digest(msg), enqueue_time=0.5)
+        with pytest.raises(ValueError, match="negative waiting"):
+            ledger.record_disposition(3, DispositionKind.SIGNATURE_ACCEPTED, job, 0.25)
+        assert not ledger.outcome_counts and not ledger.records
+
 
 class TestClaimCounters:
     def test_node_counters_sum_every_claim_application(self, monkeypatch):
@@ -332,14 +340,6 @@ class TestClaimCounters:
             assert ledger.claims_matched[nid] == matched.get(nid, 0), f"node {nid}"
             assert ledger.spot_checks_set[nid] == spot_checked.get(nid, 0), f"node {nid}"
         assert ledger.summarize(0)["claims_matched"] == matched[0]
-
-    def test_negative_waiting_raises_for_a_node_without_rows(self):
-        ledger = MetricsLedger(seed=0, scheme="cooperative", duration=1.0)
-        msg = make_message(sender_id=1)
-        job = VerificationJob(message=msg, digest=compute_digest(msg), enqueue_time=0.5)
-        with pytest.raises(ValueError, match="negative waiting"):
-            ledger.record_disposition(3, DispositionKind.SIGNATURE_ACCEPTED, job, 0.25)
-        assert not ledger.outcome_counts and not ledger.records
 
 
 class TestSchemes:
