@@ -12,7 +12,8 @@ Subcommands:
 Scenario settings come from an INI-style config file (sections
 ``[scenario]``, ``[adversary]``, ``[detection]``; see
 ``docs/config_format.md``) and can be overridden per invocation with
-``--set key=value``.  Exit codes: 0 success, 2 configuration error,
+``--set key=value``; one parser reads both, so a setting reads the same
+from either.  Exit codes: 0 success, 2 configuration error,
 3 I/O error.  Outputs contain no timestamps: identical invocations produce
 byte-identical files.  ``COOPVERIF_WORKERS`` bounds the process pool used
 for replications (default 1, fully sequential; below 1 is a configuration
@@ -25,6 +26,7 @@ import argparse
 import configparser
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import fields
@@ -72,34 +74,24 @@ _SWEEP_PARAMS = {
 }
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+# The parser's typed getter for each value type in the schema.
+_GETTERS = {int: "getint", float: "getfloat", bool: "getboolean", str: "get"}
 
 
-def _convert(key: str, text: str, type_: type):
-    try:
-        if type_ is bool:
-            return _parse_bool(text)
-        return type_(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
-
-
-def _find_line(path: Optional[Path], key: str) -> str:
-    """Best-effort line locator for diagnostics on a known-bad key."""
+def _find_line(path: Optional[Path], section: str, key: str) -> str:
+    """Best-effort file line of a key in its section, for diagnostics."""
     if path is None:
         return ""
+    current = None
     try:
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            stripped = line.split(";")[0].split("#")[0].strip()
-            if stripped.startswith(key) and "=" in stripped:
-                return f" ({path}:{lineno})"
-    except OSError:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if text.startswith("["):
+                    current = text[1:text.rfind("]")]
+                elif current == section and re.split("[=:]", text)[0].strip().lower() == key:
+                    return f" ({path}:{lineno})"
+    except (OSError, ValueError):
         pass
     return ""
 
@@ -109,59 +101,61 @@ def load_config(
 ) -> ScenarioConfig:
     """Build a ScenarioConfig from an INI file plus --set overrides.
 
+    Both are read into one parser, so a setting reads the same from either.
     The adversary is enabled exactly when its section appears, in the file
     or in an override.
     """
-    # Section -> key -> value, for the sections given.
-    values: Dict[str, Dict[str, object]] = {}
-
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 parser.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file: {exc}") from exc
-        for section in parser.sections():
-            keys = _SECTIONS.get(section)
-            if keys is None:
-                raise ConfigError(f"unknown config section [{section}] in {path}")
-            into = values.setdefault(section, {})
-            for key, raw in parser.items(section):
-                if key not in keys:
-                    raise ConfigError(
-                        f"unknown key {key!r} in [{section}]{_find_line(path, key)}"
-                    )
-                into[key] = _convert(f"{section}.{key}", raw, keys[key])
-
     for item in overrides:
-        if "=" not in item:
+        key, eq, raw = item.partition("=")
+        if not eq:
             raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        section, _, subkey = key.partition(".")
-        if not subkey:
-            section, subkey = "scenario", key
-        keys = _SECTIONS.get(section, {})
-        if subkey not in keys:
-            raise ConfigError(f"unknown override key {key!r}")
-        values.setdefault(section, {})[subkey] = _convert(key, raw, keys[subkey])
+        section, _, name = key.strip().partition(".")
+        if not name:
+            section, name = "scenario", section
+        parser.read_dict({section: {name: raw.strip()}})
+
+    # Section -> key -> value, for the sections given.
+    values: Dict[str, Dict[str, object]] = {}
+    for section, options in parser.items():
+        if section == parser.default_section and not options:
+            continue  # listed first; with keys it is an unknown section
+        keys = _SECTIONS.get(section)
+        if keys is None:
+            raise ConfigError(f"unknown config section [{section}]")
+        into = values[section] = {}
+        for key in options:
+            if key not in keys:
+                raise ConfigError(
+                    f"unknown key {key!r} in [{section}]{_find_line(path, section, key)}"
+                )
+            try:
+                into[key] = getattr(options, _GETTERS[keys[key]])(key)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad value for {section}.{key}: {options[key]!r} ({exc})"
+                ) from exc
 
     scenario = values.get("scenario", {})
     if seed is not None:
         scenario["seed"] = seed
 
-    try:
-        config = ScenarioConfig(
-            adversary=AdversaryConfig(**values["adversary"]) if "adversary" in values else None,
-            detection=DetectionConfig(**values.get("detection", {})),
-            **scenario,
-        )
-        config.validate()
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = ScenarioConfig(
+        adversary=AdversaryConfig(**values["adversary"]) if "adversary" in values else None,
+        detection=DetectionConfig(**values.get("detection", {})),
+        **scenario,
+    )
+    config.validate()
     return config
 
 

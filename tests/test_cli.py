@@ -4,14 +4,16 @@ import csv
 import filecmp
 import io
 import math
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coopverif.cli import (
-    _CDF_ROW, _csv_line, _fmt, _wait_line, export_replication, load_config, main,
+    _CDF_ROW, _SECTIONS, _csv_line, _fmt, _wait_line, _write_effective_config,
+    export_replication, load_config, main,
 )
 from coopverif.core import Digest80, NodeId
 from coopverif.engine import ACCEPTED_KINDS, Disposition, DispositionKind
@@ -80,6 +82,129 @@ class TestConfigLoading:
     def test_adversary_enabled_by_override_alone(self):
         cfg = load_config(None, overrides=["adversary.gamma_adv=10"])
         assert cfg.adversary is not None
+
+    @pytest.mark.parametrize("text, line", [
+        ("[scenario]\nalpha = 5\nalph = 3\n", 3),
+        ("[adversary]\ngamma_adv = 5\n[scenario]\ngamma = 5\nduration = 1\n"
+         "[detection]\ngamma = 3\n", 7),
+        ("[scenario]\nALPH: 3\n", 2),
+    ], ids=["after-a-longer-key", "same-key-in-another-section", "upper-case-colon"])
+    def test_unknown_key_is_located_by_section_and_name(self, text, line, tmp_path):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(ini)
+        assert str(err.value).endswith(f" ({ini}:{line})")
+
+    @pytest.mark.parametrize("items", [
+        ["N_NODES=5"],
+        ["scheme= baseline "],
+        ["scheme=50%"],
+        ["n_nodes=3", "seed=%(n_nodes)s"],
+    ], ids=["upper-case-key", "padded-value", "percent", "interpolation-syntax"])
+    def test_file_and_overrides_read_the_same(self, items, tmp_path):
+        ini = tmp_path / "scenario.ini"
+        ini.write_text("[scenario]\n" + "".join(f"{item}\n" for item in items))
+
+        def read(*args):
+            try:
+                return load_config(*args)
+            except ConfigError:
+                return ConfigError
+
+        assert read(ini) == read(None, items)
+
+    @pytest.mark.parametrize("content, named", [
+        (b"[scenario]\nn_nodes = 5%\n", "n_nodes"),
+        (b"[scenario]\n; caf\xe9\nn_nodes = 5\n", "bad.ini"),
+    ], ids=["lone-percent", "latin-1-comment"])
+    def test_unreadable_value_or_encoding_exits_2(self, content, named, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(content)
+        rc = main(["run", "--config", str(ini), "--out", str(tmp_path / "o"), "--runs", "1"])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    def test_byte_order_mark_is_not_read_as_text(self, tmp_path):
+        text = "[scenario]\nn_nodes = 7\n"
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(marked) == load_config(plain)
+        assert load_config(plain).n_nodes == 7
+
+
+# Text and typed value of a valid setting for every key of the schema.
+def _number(kind, **bounds):
+    return kind(**bounds).map(lambda v: (repr(v), v))
+
+
+_BOOLEANS = st.sampled_from([("true", True), ("False", False), ("1", True), ("off", False)])
+_POSITIVE = _number(st.floats, min_value=1e-6, max_value=1e6)
+_UNIT = _number(st.floats, min_value=0.0, max_value=1.0)
+_SETTINGS = {
+    ("scenario", "n_nodes"): _number(st.integers, min_value=1, max_value=500),
+    ("scenario", "pr_check"): _UNIT,
+    ("scenario", "alpha"): _number(st.integers, min_value=0, max_value=255),
+    ("scenario", "tau"): _POSITIVE,
+    ("scenario", "gamma"): _POSITIVE,
+    ("scenario", "scheme"): st.sampled_from(["baseline", "cooperative"]).map(lambda v: (v, v)),
+    ("scenario", "duration"): _POSITIVE,
+    ("scenario", "area_side"): _POSITIVE,
+    ("scenario", "bitrate"): _POSITIVE,
+    ("scenario", "seed"): _number(st.integers, min_value=0, max_value=2**63),
+    ("scenario", "loss_prob"): _UNIT,
+    ("scenario", "record_all_nodes"): _BOOLEANS,
+    ("scenario", "audit"): _BOOLEANS,
+    ("adversary", "gamma_adv"): _POSITIVE,
+    ("adversary", "bogus_per_claim"): _number(st.integers, min_value=0, max_value=255),
+    ("adversary", "start_time"): _number(st.floats, min_value=0.0, max_value=1e6),
+    ("detection", "votes_needed"): _number(st.integers, min_value=1, max_value=100),
+    ("detection", "blacklist_rejected"): _BOOLEANS,
+}
+
+
+@st.composite
+def valid_settings(draw):
+    """A random subset of the schema's keys with valid text values."""
+    pairs = draw(st.fixed_dictionaries({}, optional=_SETTINGS))
+    bogus = ("adversary", "bogus_per_claim")
+    alpha = pairs.get(("scenario", "alpha"), (None, 5))[1]
+    adversary = any(section == "adversary" for section, _ in pairs)
+    if bogus in pairs or (adversary and alpha < 5):  # bogus_per_claim (default 5) <= alpha
+        pairs[bogus] = draw(_number(st.integers, min_value=0, max_value=alpha))
+    return pairs
+
+
+class TestOneParsePath:
+    def test_settings_cover_the_schema(self):
+        assert set(_SETTINGS) == {(sec, key) for sec, keys in _SECTIONS.items() for key in keys}
+
+    @settings(deadline=None, max_examples=200)
+    @given(valid_settings(), st.sampled_from(["", " ", "  ", "\t"]))
+    def test_file_overrides_and_effective_config_agree(self, pairs, pad):
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = Path(tmp) / "scenario.ini"
+            ini.write_text("".join(
+                f"[{section}]\n" + "".join(
+                    f"{key} = {text}\n" for (sec, key), (text, _) in pairs.items() if sec == section
+                )
+                for section in dict.fromkeys(sec for sec, _ in pairs)
+            ))
+            from_file = load_config(ini)
+            from_set = load_config(None, [
+                f"{'' if sec == 'scenario' else sec + '.'}{key.upper()}={pad}{text}{pad}"
+                for (sec, key), (text, _) in pairs.items()
+            ])
+            _write_effective_config(from_file, 1, Path(tmp))
+            from_effective = load_config(Path(tmp) / "effective_config.ini")
+        assert from_file == from_set == from_effective
+        for (section, key), (_, value) in pairs.items():
+            holder = from_file if section == "scenario" else getattr(from_file, section)
+            assert getattr(holder, key) == value
+            assert type(getattr(holder, key)) is type(value)
+        assert (from_file.adversary is None) == all(sec != "adversary" for sec, _ in pairs)
 
 
 class TestRunCommand:
