@@ -12,7 +12,12 @@ Heap entries are plain ``(time, kind, seq, payload)`` tuples (see
 :class:`EventKind`), unpacked once per pop.  Each transmitted frame is one
 entry: its delivery carries the ids of every node that receives it, and the
 kernel hands the frame to them in ascending id order.  A run ends by
-checking that every node gave each of its receptions exactly one outcome.
+checking that every node gave each of its receptions exactly one outcome,
+that no node verified faster than ``tau`` allows, that the ledger's
+revocations are the registry's, and that no revoked sender's job was still
+queued.  A run makes no reference cycles, so :meth:`SimulationKernel.run`
+pauses the cyclic garbage collector while it runs and leaves the caller's
+setting as it was when it returns.
 
 Two verification schemes are wired in: ``cooperative`` (random queue
 insertion, claim scanning, probabilistic spot checks) and ``baseline``
@@ -21,6 +26,7 @@ insertion, claim scanning, probabilistic spot checks) and ``baseline``
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import os
@@ -49,7 +55,7 @@ class ConfigError(ValueError):
 
 
 class ConservationError(AssertionError):
-    """A node's outcome counts do not add up to its receptions (a kernel bug)."""
+    """A run-end invariant failed (a kernel bug)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,7 +196,13 @@ def broadcast(
 
 
 class SimulationKernel:
-    """Single-threaded event loop owning every node and the registry."""
+    """Single-threaded event loop owning every node and the registry.
+
+    A kernel runs once: its nodes, heap and ledger hold the state one run
+    leaves behind.
+    """
+
+    _ran = False
 
     def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
@@ -318,6 +330,29 @@ class SimulationKernel:
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> MetricsLedger:
+        """Run the scenario to its end, check the run-end invariants and
+        return the ledger.
+
+        The cyclic garbage collector is off while the run lasts: the run
+        makes no reference cycles, so reference counting frees all it drops,
+        and the collector's passes over the growing ledger would find
+        nothing.  It is switched back on only if it was on before, also when
+        the run raises.  A second call raises :class:`RuntimeError`.
+        """
+        if self._ran:
+            raise RuntimeError("this kernel has already run; build a new one")
+        self._ran = True
+        collector_was_on = gc.isenabled()
+        gc.disable()
+        try:
+            self._run_events()
+            self._finalize()
+        finally:
+            if collector_was_on:
+                gc.enable()
+        return self.ledger
+
+    def _run_events(self) -> None:
         cfg = self.config
         heap = self._heap
         nodes = self.nodes
@@ -359,12 +394,18 @@ class SimulationKernel:
             samples.append(len(node0_jobs))
             next_sample += 1
         self.ledger.dropped_revoked_frames += dropped
-        self._finalize()
-        return self.ledger
 
     def _finalize(self) -> None:
         cfg = self.config
         ledger = self.ledger
+        revoked = self.registry.revoked
+        revoked_ids = sorted(accused for accused, _ in ledger.revocations)
+        if revoked_ids != sorted(revoked):
+            raise ConservationError(
+                f"ledger revoked {revoked_ids} but the registry revoked {sorted(revoked)}"
+            )
+        # Verifications start at least tau apart, from time 0 through the end.
+        max_verifications = math.floor(cfg.duration / cfg.tau + 1e-9) + 1
         ledger.final_queue_len = len(self.nodes[0].queue)
         for node in self.nodes:
             nid = node.node_id.id
@@ -378,7 +419,17 @@ class SimulationKernel:
                 if nid == 0:
                     ledger.busy_time += max(0.0, min(popped + node.tau, cfg.duration) - popped)
             for job in node.queue.drain():
+                sender = job.message.cam.sender.id
+                if sender in revoked:
+                    raise ConservationError(
+                        f"node {nid}: revoked sender {sender} still queued at the end"
+                    )
                 ledger.record_disposition(nid, DispositionKind.UNPROCESSED_AT_END, job, cfg.duration)
+            if node.verifications_completed > max_verifications:
+                raise ConservationError(
+                    f"node {nid}: {node.verifications_completed} verifications, "
+                    f"more than {max_verifications} fit in the run"
+                )
             ledger.receptions[nid] = node.receptions
             ledger.duplicates[nid] = node.queue.duplicates_dropped
             ledger.verifications_completed[nid] = node.verifications_completed

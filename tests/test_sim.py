@@ -1,6 +1,7 @@
 """Kernel tests: placement, beaconing, channel timing, scheme behaviour."""
 
 import concurrent.futures
+import gc
 import math
 import os
 import random
@@ -9,6 +10,7 @@ from dataclasses import replace
 import pytest
 from scipy import stats
 
+from coopverif.cli import export_replication
 from coopverif.core import Role, VerificationJob, compute_digest
 from coopverif.engine import DispositionKind, NodeState
 from coopverif.metrics import MetricsLedger
@@ -166,6 +168,7 @@ class TestFanOut:
         cfg = ScenarioConfig(n_nodes=5, duration=0.2, seed=3, record_all_nodes=True)
         kernel = SimulationKernel(cfg)
         kernel.registry.revoked.add(2)
+        kernel._apply_revocation(2, 0.0)  # the ledger must list what the registry revoked
         ledger = kernel.run()
         frames = len(list(beacon_times(kernel._phase[2], cfg.gamma, cfg.duration)))
         assert frames > 0
@@ -409,6 +412,141 @@ class TestRunEnd:
         ledger = run_scenario(cfg)
         assert ledger.revocations
         assert ledger.queue_len_samples[-1] == ledger.final_queue_len
+
+
+class TestRunOnce:
+    def test_second_run_raises_before_any_work(self):
+        kernel = SimulationKernel(ScenarioConfig(n_nodes=6, duration=2.0, seed=3))
+        ledger = kernel.run()
+        samples, receptions = list(ledger.queue_len_samples), dict(ledger.receptions)
+        assert len(samples) == 3
+        with pytest.raises(RuntimeError, match="already run"):
+            kernel.run()
+        assert ledger.queue_len_samples == samples
+        assert ledger.receptions == receptions
+
+
+class TestRunEndInvariants:
+    """Each run-end check, fed a broken state built by hand on a fresh kernel."""
+
+    def test_more_verifications_than_fit_in_the_run(self):
+        kernel = SimulationKernel(ScenarioConfig(n_nodes=4, duration=1.0, tau=0.01))
+        kernel._finalize()  # an unbroken fresh kernel passes
+        kernel.nodes[2].verifications_completed = 101  # floor(1.0 / 0.01) + 1 = 101 fit
+        kernel._finalize()
+        kernel.nodes[2].verifications_completed = 102
+        with pytest.raises(ConservationError, match="node 2: 102 verifications, more than 101"):
+            kernel._finalize()
+
+    @pytest.mark.parametrize("where", ["ledger", "registry"])
+    def test_revocations_differ_between_ledger_and_registry(self, where):
+        kernel = SimulationKernel(ScenarioConfig(n_nodes=4, duration=1.0))
+        if where == "ledger":
+            kernel.ledger.revocations.append((2, 0.5))
+        else:
+            kernel.registry.revoked.add(2)
+        with pytest.raises(ConservationError, match="revoked"):
+            kernel._finalize()
+
+    def test_revoked_sender_still_queued_at_the_end(self):
+        kernel = SimulationKernel(ScenarioConfig(n_nodes=4, duration=1.0))
+        msg = make_message(sender_id=2)
+        assert kernel.nodes[0].receive(msg, compute_digest(msg), 0.0) is not None
+        kernel.registry.revoked.add(2)
+        kernel.ledger.revocations.append((2, 0.5))
+        with pytest.raises(ConservationError, match="node 0: revoked sender 2 still queued"):
+            kernel._finalize()
+
+
+_ADVERSARY = dict(
+    n_nodes=10,
+    duration=4.0,
+    tau=0.015,
+    seed=2,
+    adversary=AdversaryConfig(gamma_adv=10.0),
+    record_all_nodes=True,
+)
+
+
+@pytest.fixture
+def collector_off():
+    """Collect once, then hold the cyclic collector off; restore it after."""
+    was_on = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
+class TestCollectorPause:
+    """run() pauses the cyclic collector; that is safe only while a run makes no cycles."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScenarioConfig(duration=5.0),
+            ScenarioConfig(n_nodes=40, scheme="baseline", duration=5.0),
+            ScenarioConfig(**_ADVERSARY, detection=DetectionConfig(votes_needed=2)),
+            ScenarioConfig(
+                **_ADVERSARY, detection=DetectionConfig(votes_needed=2, blacklist_rejected=True)
+            ),
+            ScenarioConfig(n_nodes=12, duration=5.0, loss_prob=0.3, audit=True),
+        ],
+        ids=["cooperative", "baseline-n40", "adversary", "adversary-blacklist", "loss-audit"],
+    )
+    def test_a_run_leaves_no_cyclic_garbage(self, cfg, collector_off):
+        kernel = SimulationKernel(cfg)
+        ledger = kernel.run()
+        if cfg.adversary is not None:  # the revocation and purge paths ran
+            assert ledger.revocations
+            purged = DispositionKind.PURGED_REVOKED
+            assert sum(ledger.node_counts(n)[purged] for n in range(kernel.total_nodes))
+        del kernel, ledger
+        assert gc.collect() == 0
+
+    def test_replications_and_export_leave_no_cyclic_garbage(self, collector_off, tmp_path):
+        result = run_replications(short_config(), 2)
+        export_replication(result, tmp_path / "bundle")
+        del result
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("was_on", [True, False])
+    def test_run_leaves_the_callers_setting(self, was_on, monkeypatch):
+        finalize = SimulationKernel._finalize
+        during = []
+
+        def recording(kernel):
+            during.append(gc.isenabled())
+            finalize(kernel)
+
+        monkeypatch.setattr(SimulationKernel, "_finalize", recording)
+        before = gc.isenabled()
+        try:
+            if was_on:
+                gc.enable()
+            else:
+                gc.disable()
+            run_scenario(short_config())
+            assert gc.isenabled() is was_on
+        finally:
+            if before:
+                gc.enable()
+            else:
+                gc.disable()
+        assert during == [False]
+
+    def test_run_that_raises_turns_the_collector_back_on(self, monkeypatch):
+        def broken(kernel):
+            raise ConservationError("broken on purpose")
+
+        monkeypatch.setattr(SimulationKernel, "_finalize", broken)
+        assert gc.isenabled()
+        with pytest.raises(ConservationError, match="on purpose"):
+            run_scenario(short_config())
+        assert gc.isenabled()
 
 
 class TestAdversaryRuns:
