@@ -42,7 +42,7 @@ from .analytic import (
     pr_skip,
 )
 from .engine import Disposition
-from .metrics import SUMMARY_COLUMNS, ReplicationResult
+from .metrics import ReplicationResult
 from .sim import AdversaryConfig, ConfigError, DetectionConfig, ScenarioConfig, run_replications
 
 WORKERS_ENV = "COOPVERIF_WORKERS"
@@ -223,11 +223,7 @@ def export_replication(result: ReplicationResult, out_dir: Path) -> Dict[str, ob
 
     summaries = result.per_run_summaries()
     mean = result.mean_summary(summaries)
-    _write_csv(
-        out_dir / "summary.csv",
-        SUMMARY_COLUMNS,
-        ([s[c] for c in SUMMARY_COLUMNS] for s in [*summaries, mean]),
-    )
+    _write_csv(out_dir / "summary.csv", mean.keys(), (s.values() for s in [*summaries, mean]))
 
     _write_lines(
         out_dir / "waiting_times.csv",
@@ -293,10 +289,9 @@ def _write_effective_config(config: ScenarioConfig, n_runs: int, out_dir: Path) 
 
 def _print_summary(mean: Dict[str, object]) -> None:
     print("scenario summary (mean over runs):")
-    for key in SUMMARY_COLUMNS:
-        if key in ("run",):
-            continue
-        print(f"  {key:<28}{_fmt(mean[key])}")
+    for key, value in mean.items():
+        if key != "run":
+            print(f"  {key:<28}{_fmt(value)}")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -384,35 +379,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     import numpy as np  # only analyze needs numpy; run and sweep never pay its import
 
     started = time.perf_counter()
-    skip = pr_skip(params.pr_check, params.alpha)
     reveal = pr_reveal(params)
+    rows: List[List[object]] = [
+        ["pr_skip", pr_skip(params.pr_check, params.alpha), "", ""],
+        ["pr_reveal", reveal, "", ""],
+    ]
     exposure = list(range(1, 11))
     if params.n_messages not in exposure:
         exposure.append(params.n_messages)
-    after_n = [(n, pr_reveal_after_n(reveal, n)) for n in exposure]
-    mc = monte_carlo_reveal(params, args.trials, np.random.default_rng(args.seed))
-    elapsed = time.perf_counter() - started
-
-    rows: List[List[object]] = [
-        ["pr_skip", skip, "", ""],
-        ["pr_reveal", reveal, "", ""],
-    ]
-    for n, p in after_n:
-        rows.append([f"pr_reveal_after_{n}", p, "", ""])
+    rows += [[f"pr_reveal_after_{n}", pr_reveal_after_n(reveal, n), "", ""] for n in exposure]
     rows.append(["baseline_saturation_neighbors", saturation, "", ""])
+    mc = monte_carlo_reveal(params, args.trials, np.random.default_rng(args.seed))
     rows.append(["monte_carlo_reveal", mc.estimate, mc.ci_low, mc.ci_high])
     rows.append(["monte_carlo_trials", float(mc.trials), "", ""])
+    elapsed = time.perf_counter() - started
 
-    print(f"alpha={params.alpha} pr_check={params.pr_check} "
-          f"N={params.n_neighbors} v={params.votes_needed}")
-    print(f"  pr_skip                      {skip:.9g}")
-    print(f"  pr_reveal                    {reveal:.9g}")
-    for n, p in after_n:
-        print(f"  pr_reveal_after_{n:<2}           {p:.9g}")
-    print(f"  baseline_saturation (tau={args.tau:g}s, gamma={args.gamma:g}Hz)  {saturation:.9g}")
-    print(f"  monte_carlo_reveal           {mc.estimate:.9g} "
-          f"[{mc.ci_low:.9g}, {mc.ci_high:.9g}] ({mc.trials} trials)")
-    print(f"  elapsed                      {elapsed:.3f}s")
+    print(f"alpha={params.alpha} pr_check={params.pr_check} N={params.n_neighbors} "
+          f"v={params.votes_needed} tau={args.tau:g}s gamma={args.gamma:g}Hz "
+          f"elapsed={elapsed:.3f}s")
+    for name, value, low, high in rows:
+        interval = f" [{low:.9g}, {high:.9g}]" if low != "" else ""
+        print(f"  {name:<30}{value:.9g}{interval}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -73,19 +73,6 @@ class Disposition:
     sender: NodeId
     enqueue_time: float
     leave_queue_time: float
-    signature_valid: bool
-
-    @classmethod
-    def of(cls, outcome: DispositionKind, job: VerificationJob, left_at: float) -> "Disposition":
-        """The record of ``job`` leaving its queue for good at ``left_at``."""
-        return cls(
-            outcome,
-            job.digest,
-            job.message.cam.sender,
-            job.enqueue_time,
-            left_at,
-            job.message.valid,
-        )
 
     @property
     def waiting_time(self) -> float:
@@ -285,7 +272,6 @@ class ClaimApplication:
 
     accepted_jobs: List[VerificationJob]  # cooperatively accepted, claim order
     matched: int  # queued, unchecked jobs hit by a claim
-    spot_checked: int  # matches that drew the check branch
     blacklist_hits: List[Tuple[NodeId, Digest80, Digest80]]  # claimant, claim, bogus
 
 
@@ -397,15 +383,15 @@ class NodeState:
         the claimant for later attribution) or accepted cooperatively and
         removed, its waiting ending at the caller's current time.  Digests
         that are absent or already flagged are ignored.  The node's
-        ``claims_matched`` and ``spot_checks_set`` grow by the returned
-        ``matched`` and ``spot_checked``.
+        ``claims_matched`` grows by the returned ``matched``, and its
+        ``spot_checks_set`` by the matches that drew the check branch.
         """
         claimant = accepted.cam.sender
         queue = self.queue
         queued = queue.index.get
         accepted_jobs: List[VerificationJob] = []
         blacklist_hits: List[Tuple[NodeId, Digest80, Digest80]] = []
-        matched = spot_checked = 0
+        matched = 0
         for claimed in accepted.cam.claimed_digests:
             job = queued(claimed.value)
             if job is not None:
@@ -414,7 +400,7 @@ class NodeState:
                 matched += 1
                 if self.rng.random() < self.pr_check:
                     queue.promote(claimed, (claimant, claim_digest))
-                    spot_checked += 1
+                    self.spot_checks_set += 1
                 else:
                     queue.remove(claimed)
                     if self.audit:
@@ -425,8 +411,7 @@ class NodeState:
         if self.audit:
             queue.audit()
         self.claims_matched += matched
-        self.spot_checks_set += spot_checked
-        return ClaimApplication(accepted_jobs, matched, spot_checked, blacklist_hits)
+        return ClaimApplication(accepted_jobs, matched, blacklist_hits)
 
     # -- beacon generation ---------------------------------------------------
 
@@ -434,10 +419,10 @@ class NodeState:
         """Assemble this node's next beacon, claiming the cached digests.
 
         The cache holds at most ``alpha`` digests; whatever is present is
-        claimed, without padding.  Baseline nodes claim nothing.
+        claimed, without padding.  A baseline node's cache holds none, so it
+        claims nothing.
         """
-        claimed = self.cache.digests() if self.cooperative else ()
-        return self.sign(now, self.position, claimed, True)
+        return self.sign(now, self.position, self.cache.digests(), True)
 
     def sign(
         self, now: float, position: Tuple[float, float], claimed: Tuple[Digest80, ...], valid: bool

@@ -6,9 +6,9 @@ for conservation checks, node 0's queue length per second, and the
 report/revocation event log.  The evaluated node's waiting samples and its
 per-second time series are read from its accepted rows, which the ledger
 indexes as it records them.  ``summarize`` flattens a ledger into the
-scalar row exported to ``summary.csv``; :func:`pool_replications` merges
-several seeded runs the way the experiments are reported (pooled waiting
-samples, averaged scalars).
+scalar row exported to ``summary.csv``; its keys, in order, are that file's
+columns.  :func:`pool_replications` merges several seeded runs the way the
+experiments are reported (pooled waiting samples, averaged scalars).
 """
 
 from __future__ import annotations
@@ -22,38 +22,6 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 from .core import VerificationJob
 from .engine import ACCEPTED_KINDS, COOPERATIVELY_ACCEPTED, Disposition, DispositionKind
 from .threat import MisbehaviorReport
-
-SUMMARY_COLUMNS = [
-    "run",
-    "seed",
-    "scheme",
-    "receptions",
-    "duplicates",
-    "lost_frames",
-    "dropped_revoked_frames",
-    "signature_accepted",
-    "cooperatively_accepted",
-    "rejected_invalid",
-    "unprocessed_at_end",
-    "purged_revoked",
-    "accepted_total",
-    "cooperative_ratio",
-    "waiting_mean",
-    "waiting_median",
-    "waiting_p90",
-    "waiting_p99",
-    "waiting_max",
-    "final_queue_len",
-    "verifier_utilization",
-    "verifications_completed",
-    "claims_matched",
-    "spot_checks_set",
-    "bogus_accepted",
-    "bogus_accepted_all_nodes",
-    "reports_filed",
-    "revoked",
-    "revocation_time",
-]
 
 
 def quantile(sorted_samples: Sequence[float], q: float) -> float:
@@ -124,7 +92,9 @@ class MetricsLedger:
             self.bogus_accepted[node_id] = self.bogus_accepted.get(node_id, 0) + 1
         evaluated = node_id == self.evaluated_node
         if self.record_all or evaluated:
-            row = Disposition.of(outcome, job, left_at)
+            row = Disposition(
+                outcome, job.digest, job.message.cam.sender, job.enqueue_time, left_at
+            )
             self.records.append((node_id, row))
             if evaluated and outcome in ACCEPTED_KINDS:
                 self.accepted_rows.append(row)
@@ -174,6 +144,7 @@ class MetricsLedger:
         return rows
 
     def summarize(self, run_index: int = 0) -> Dict[str, object]:
+        """The run's ``summary.csv`` row; its keys, in order, are the columns."""
         nid = self.evaluated_node
         counts = self.node_counts(nid)
         waits = sorted(self.waiting_samples)
@@ -223,7 +194,8 @@ class ReplicationResult:
         return [ledger.summarize(i) for i, ledger in enumerate(self.runs)]
 
     def mean_summary(self, rows: Optional[List[Dict[str, object]]] = None) -> Dict[str, object]:
-        """Scalar averages across runs; non-numeric fields from run 0.
+        """Scalar averages across runs, keyed like the runs' rows;
+        non-numeric fields from run 0.
 
         ``rows`` are the runs' ``per_run_summaries()`` when the caller has
         them already; otherwise they are computed here.
@@ -232,7 +204,7 @@ class ReplicationResult:
         if rows is None:
             rows = self.per_run_summaries()
         out: Dict[str, object] = {}
-        for key in SUMMARY_COLUMNS:
+        for key in rows[0]:
             values = [r[key] for r in rows]
             if key == "run":
                 out[key] = "mean"

@@ -9,9 +9,11 @@ bookkeeping: one run is fully determined by its configuration and seed,
 with event ties broken by (time, event-kind rank, sequence number).
 
 Heap entries are plain ``(time, kind, seq, payload)`` tuples (see
-:class:`EventKind`), unpacked once per pop.  Each transmitted frame is one
-entry: its delivery carries the ids of every node that receives it, and the
-kernel hands the frame to them in ascending id order.  A run ends by
+:class:`EventKind`), unpacked once per pop.  A generation or completion
+entry carries only its node's id; the job a completion finishes is the
+node's ``in_flight``.  Each transmitted frame is one entry: its delivery
+carries the ids of every node that receives it, and the kernel hands the
+frame to them in ascending id order.  A run ends by
 checking that every node gave each of its receptions exactly one outcome,
 that no node verified faster than ``tau`` allows, that the ledger's
 revocations are the registry's, and that no revoked sender's job was still
@@ -118,10 +120,10 @@ class EventKind(IntEnum):
 
     Entries order by time, then by kind (the enum value: generations before
     deliveries before verification completions, run end last), then by the
-    push sequence number.  Payloads by kind: ``(node_id,)`` for a
+    push sequence number.  Payloads by kind: the sending node's id for a
     generation, ``(receivers, frame, digest)`` for a frame's delivery to all
-    its receivers, ``(node_id, job)`` for a completion, ``()`` for the run
-    end.
+    its receivers, the verifying node's id for a completion, ``()`` for the
+    run end.
     """
 
     CAM_GENERATION = 0
@@ -260,7 +262,7 @@ class SimulationKernel:
         for i, times in enumerate(self._beacons):
             first = next(times, config.duration)
             if first < config.duration:
-                heappush(self._heap, (first, _GENERATION, next(self._seq), (i,)))
+                heappush(self._heap, (first, _GENERATION, next(self._seq), i))
         heappush(self._heap, (config.duration, EventKind.RUN_END, next(self._seq), ()))
 
     # -- event handlers ------------------------------------------------------
@@ -273,18 +275,19 @@ class SimulationKernel:
             frame = self.nodes[node_id].build_own_cam(now)
         nxt = next(self._beacons[node_id], cfg.duration)
         if nxt < cfg.duration:
-            heappush(self._heap, (nxt, _GENERATION, next(self._seq), (node_id,)))
+            heappush(self._heap, (nxt, _GENERATION, next(self._seq), node_id))
         receivers, deliver_at, digest = broadcast(frame, now, cfg, self.total_nodes, self.channel_rng)
         self.ledger.lost_frames += self.total_nodes - 1 - len(receivers)
         if receivers:
             heappush(self._heap, (deliver_at, _DELIVERY, next(self._seq), (receivers, frame, digest)))
 
     def _start_verification(self, node: NodeState, now: float) -> None:
-        job = node.pop_and_verify(now)
-        heappush(self._heap, (now + node.tau, _COMPLETION, next(self._seq), (node.node_id.id, job)))
+        node.pop_and_verify(now)
+        heappush(self._heap, (now + node.tau, _COMPLETION, next(self._seq), node.node_id.id))
 
-    def _handle_completion(self, node_id: int, job, now: float) -> None:
+    def _handle_completion(self, node_id: int, now: float) -> None:
         node = self.nodes[node_id]
+        job = node.in_flight
         ledger = self.ledger
         revoked = job.message.cam.sender.id in self.registry.revoked
         outcome = node.finish_verification(job, revoked=revoked)
@@ -296,25 +299,26 @@ class SimulationKernel:
                 app = node.apply_claims(job.message, job.digest)
                 for accepted in app.accepted_jobs:
                     ledger.record_disposition(node_id, COOPERATIVELY_ACCEPTED, accepted, now)
-                if app.blacklist_hits and node.node_id.role is Role.BENIGN:
-                    for claimant, claim_digest, bogus_digest in app.blacklist_hits:
-                        self._submit_report(
-                            MisbehaviorReport(
-                                reporter=node.node_id,
-                                accused=claimant,
-                                claim_digest=claim_digest,
-                                bogus_digest=bogus_digest,
-                                time=now,
-                            )
+                for claimant, claim_digest, bogus_digest in app.blacklist_hits:
+                    self._submit_report(
+                        MisbehaviorReport(
+                            reporter=node.node_id,
+                            accused=claimant,
+                            claim_digest=claim_digest,
+                            bogus_digest=bogus_digest,
+                            time=now,
                         )
+                    )
         elif outcome is REJECTED_INVALID:
             report = detect_false_claim(node.node_id, job, now)
-            if report is not None and node.node_id.role is Role.BENIGN:
+            if report is not None:
                 self._submit_report(report)
         if node.queue.jobs:
             self._start_verification(node, now)
 
     def _submit_report(self, report: MisbehaviorReport) -> None:
+        if report.reporter.role is not Role.BENIGN:
+            return  # the adversary files no reports
         self.ledger.reports.append(report)
         if self.registry.add_report(report):
             self._apply_revocation(report.accused.id, report.time)
@@ -374,7 +378,7 @@ class SimulationKernel:
                 samples.append(len(node0_jobs))
                 next_sample += 1
             if kind is completion:
-                handle_completion(payload[0], payload[1], t)
+                handle_completion(payload, t)
             elif kind is delivery:
                 receivers, frame, digest = payload
                 if frame.cam.sender.id in revoked:
@@ -387,7 +391,7 @@ class SimulationKernel:
                     if node.receive(frame, digest, t) is not None and node.in_flight is None:
                         start_verification(node, t)
             elif kind is generation:
-                self._handle_generation(payload[0], t)
+                self._handle_generation(payload, t)
             else:
                 break  # the run end
         while next_sample <= last_second:

@@ -17,8 +17,8 @@ from coopverif.cli import (
 )
 from coopverif.core import Digest80, NodeId
 from coopverif.engine import ACCEPTED_KINDS, Disposition, DispositionKind
-from coopverif.metrics import SUMMARY_COLUMNS, MetricsLedger, pool_replications
-from coopverif.sim import ConfigError
+from coopverif.metrics import MetricsLedger, pool_replications
+from coopverif.sim import ConfigError, run_replications
 
 SMALL = ["--set", "n_nodes=4", "--set", "duration=3", "--set", "seed=5"]
 
@@ -26,6 +26,11 @@ SMALL = ["--set", "n_nodes=4", "--set", "duration=3", "--set", "seed=5"]
 def read_csv(path: Path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def summary_keys():
+    """The ``summary.csv`` columns: the keys of a run's ``summarize()`` row."""
+    return list(MetricsLedger(seed=0, scheme="cooperative", duration=1.0).summarize())
 
 
 class TestConfigLoading:
@@ -222,9 +227,28 @@ class TestRunCommand:
         ):
             assert (out / name).exists(), name
         rows = read_csv(out / "summary.csv")
-        assert rows[0] == SUMMARY_COLUMNS
+        assert rows[0] == summary_keys()
         assert len(rows) == 1 + 2 + 1  # header, two runs, mean row
         assert rows[-1][0] == "mean"
+
+    def test_summary_file_and_printout_follow_the_summarize_keys(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--runs", "2", *SMALL]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        result = run_replications(load_config(None, SMALL[1::2]), 2)  # the --set values
+        keys = summary_keys()
+        mean = result.mean_summary()
+        header, *runs, mean_row = read_csv(out / "summary.csv")
+        assert header == keys
+        for i, row in enumerate(runs):
+            summary = result.runs[i].summarize(i)
+            assert row == [_fmt(summary[k]) for k in keys]
+        assert mean_row == [_fmt(mean[k]) for k in keys]
+        assert printed[0] == "scenario summary (mean over runs):"
+        pairs = [line.strip().partition(" ")[::2] for line in printed[1:]]
+        assert [(name, value.strip()) for name, value in pairs] == [
+            (k, _fmt(mean[k])) for k in keys if k != "run"
+        ]
 
     def test_cdf_is_sorted_with_quantiles(self, tmp_path):
         out = tmp_path / "out"
@@ -412,6 +436,22 @@ class TestAnalyzeCommand:
         after3 = float(table["pr_reveal_after_3"][0])
         assert after3 == pytest.approx(0.99248461, abs=1e-6)
 
+    def test_printout_is_one_line_per_analysis_row(self, tmp_path, capsys):
+        rc = main([
+            "analyze", "--alpha", "5", "--pr-check", "0.1", "--neighbors", "15",
+            "--votes", "5", "--n-messages", "25", "--tau", "0.004", "--gamma", "12.5",
+            "--out", str(tmp_path), "--trials", "2000",
+        ])
+        assert rc == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert "tau=0.004s" in header and "gamma=12.5Hz" in header
+        rows = read_csv(tmp_path / "analysis.csv")[1:]
+        assert len(lines) == len(rows)
+        for line, (name, value, low, high) in zip(lines, rows):
+            interval = [f"[{low},", f"{high}]"] if low else []
+            assert line.split() == [name, value, *interval]
+        assert any(row[2] for row in rows)
+
     def test_analysis_csv_deterministic(self, tmp_path):
         args = [
             "analyze", "--alpha", "4", "--pr-check", "0.3", "--neighbors", "20",
@@ -513,7 +553,7 @@ def synthetic_result(rows_per_run: int, runs: int = 1):
         for i in range(rows_per_run):
             enqueue = i * 1e-4
             disp = Disposition(kinds[i % len(kinds)], Digest80(i.to_bytes(10, "big")),
-                               senders[(i + 1) % 30], enqueue, enqueue + (i % 97) * 1e-3, True)
+                               senders[(i + 1) % 30], enqueue, enqueue + (i % 97) * 1e-3)
             ledger.records.append((i % 30, disp))
             if i % 30 == 0 and disp.outcome in ACCEPTED_KINDS:
                 ledger.accepted_rows.append(disp)  # as record_disposition indexes node 0's
@@ -525,7 +565,7 @@ class TestStreamingExport:
     @given(ids, ids, st.binary(min_size=10, max_size=10), ids, finite_floats, finite_floats,
            st.sampled_from(DispositionKind))
     def test_wait_line_matches_csv_writer(self, run, node, digest, sender, enqueue, leave, kind):
-        disp = Disposition(kind, Digest80(digest), NodeId(sender), enqueue, leave, True)
+        disp = Disposition(kind, Digest80(digest), NodeId(sender), enqueue, leave)
         row = [run, node, disp.digest.hex(), disp.sender.id, disp.enqueue_time,
                disp.outcome.value, disp.leave_queue_time, disp.waiting_time]
         assert _wait_line(run, node, disp) == csv_line(row)

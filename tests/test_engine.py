@@ -131,7 +131,7 @@ class TestPopAndVerify:
         assert node.in_flight is None
         assert outcome is DispositionKind.SIGNATURE_ACCEPTED
         disp = ledger_row(outcome, popped, node.popped_at)
-        assert disp.signature_valid
+        assert popped.message.valid
         assert job.digest.value == disp.digest.value
         assert disp.waiting_time == pytest.approx(0.25)
         assert node.cache.digests() == (disp.digest,)
@@ -145,7 +145,8 @@ class TestPopAndVerify:
         (done,) = [e for e in kernel._heap if e[1] is EventKind.VERIFICATION_COMPLETE]
         time, _, _, payload = done
         assert time == 0.25 + node.tau
-        assert payload == (0, node.in_flight)
+        assert payload == 0
+        assert node.in_flight.digest == job.digest
 
     def test_revoked_sender_purged_without_side_effects(self):
         node = make_node(blacklist_rejected=True)
@@ -158,7 +159,7 @@ class TestPopAndVerify:
             outcome = node.finish_verification(popped, revoked=True)
             assert outcome is DispositionKind.PURGED_REVOKED
             disp = ledger_row(outcome, popped, node.popped_at)
-            assert disp.leave_queue_time == 0.5 and disp.signature_valid is valid
+            assert disp.leave_queue_time == 0.5 and popped.message.valid is valid
         assert len(node.cache) == 0 and not node.rejected_digests
         assert node.verifications_completed == 2
 
@@ -200,7 +201,7 @@ class TestApplyClaims:
         node.receive(job.message, job.digest, now=1.0)
         claim = self._claim_for([job])
         app = node.apply_claims(claim, compute_digest(claim))
-        assert app.matched == 1 and app.spot_checked == 0
+        assert app.matched == 1 and node.spot_checks_set == 0
         assert len(node.queue) == 0
         (accepted,) = app.accepted_jobs
         assert accepted.digest == job.digest
@@ -216,7 +217,7 @@ class TestApplyClaims:
         claim = self._claim_for([job])
         claim_digest = compute_digest(claim)
         app = node.apply_claims(claim, claim_digest)
-        assert app.matched == 1 and app.spot_checked == 1
+        assert app.matched == 1 and node.spot_checks_set == 1
         assert not app.accepted_jobs
         assert job.b is True
         assert job.checked_by == (NodeId(9), claim_digest)
@@ -229,7 +230,7 @@ class TestApplyClaims:
         ghost = make_job(seq=77)
         claim = self._claim_for([ghost])
         app = node.apply_claims(claim, compute_digest(claim))
-        assert app.matched == 0 and app.spot_checked == 0
+        assert app.matched == 0 and node.spot_checks_set == 0
         assert not app.accepted_jobs
 
     def test_checked_job_not_rematched_and_no_coin_drawn(self):
@@ -274,8 +275,9 @@ class TestApplyClaims:
             template = make_job(sender_id=4, seq=i)
             job = node.receive(template.message, template.digest, now=0.0)
             claim = self._claim_for([job], ts=float(i + 1))
-            app = node.apply_claims(claim, compute_digest(claim))
-            checked += app.spot_checked
+            before = node.spot_checks_set
+            node.apply_claims(claim, compute_digest(claim))
+            checked += node.spot_checks_set - before
             if job.b:
                 node.finish_verification(node.pop_and_verify(2.0))
         assert abs(checked / trials - pr_check) < 0.01

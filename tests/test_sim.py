@@ -12,7 +12,7 @@ from scipy import stats
 
 from coopverif.cli import export_replication
 from coopverif.core import Role, VerificationJob, compute_digest
-from coopverif.engine import DispositionKind, NodeState
+from coopverif.engine import DispositionKind, NodeState, VerificationQueue
 from coopverif.metrics import MetricsLedger
 from coopverif.sim import (
     AdversaryConfig,
@@ -29,6 +29,7 @@ from coopverif.sim import (
     run_replications,
     run_scenario,
 )
+from coopverif.threat import AdversaryDriver
 
 from test_core import make_message
 
@@ -322,21 +323,27 @@ class TestLazyRecords:
 
 class TestClaimCounters:
     def test_node_counters_sum_every_claim_application(self, monkeypatch):
-        apply_claims = NodeState.apply_claims
+        apply_claims, promote = NodeState.apply_claims, VerificationQueue.promote
         matched, spot_checked = {}, {}
 
         def summing(node, accepted, claim_digest):
             app = apply_claims(node, accepted, claim_digest)
             nid = node.node_id.id
             matched[nid] = matched.get(nid, 0) + app.matched
-            spot_checked[nid] = spot_checked.get(nid, 0) + app.spot_checked
             return app
 
+        def counting(queue, digest, checked_by):
+            nid = owner[queue]
+            spot_checked[nid] = spot_checked.get(nid, 0) + 1
+            return promote(queue, digest, checked_by)
+
         monkeypatch.setattr(NodeState, "apply_claims", summing)
+        monkeypatch.setattr(VerificationQueue, "promote", counting)
         cfg = short_config(n_nodes=8, duration=5.0, tau=0.02, seed=31, pr_check=0.3,
                            adversary=AdversaryConfig(), record_all_nodes=True,
                            detection=DetectionConfig(votes_needed=2))
         kernel = SimulationKernel(cfg)
+        owner = {node.queue: node.node_id.id for node in kernel.nodes}
         ledger = kernel.run()
         assert ledger.revocations and sum(spot_checked.values()) > 0
         for nid in range(kernel.total_nodes):
@@ -581,15 +588,28 @@ class TestAdversaryRuns:
             if disp.sender.id == 12 and disp.outcome in ACCEPTED:
                 assert disp.leave_queue_time <= revoked_at + 1e-12
 
-    def test_bogus_acceptance_window_precedes_revocation(self):
+    def test_bogus_acceptance_window_precedes_revocation(self, monkeypatch):
+        emit, bogus = AdversaryDriver.emit, set()
+
+        def collecting(driver, now):
+            frame = emit(driver, now)
+            if not frame.valid:
+                bogus.add(compute_digest(frame))
+            return frame
+
+        monkeypatch.setattr(AdversaryDriver, "emit", collecting)
         ledger = run_scenario(self._adversary_config())
         _, revoked_at = ledger.revocations[0]
+        assert bogus
         for _, disp in ledger.records:
-            if disp.outcome is DispositionKind.COOPERATIVELY_ACCEPTED and not disp.signature_valid:
+            if disp.outcome is DispositionKind.COOPERATIVELY_ACCEPTED and disp.digest in bogus:
                 assert disp.leave_queue_time <= revoked_at + 1e-12
 
-    def test_no_false_positive_reports(self):
-        ledger = run_scenario(self._adversary_config(duration=8.0))
+    @pytest.mark.parametrize("blacklist_rejected", [False, True])
+    def test_no_false_positive_reports(self, blacklist_rejected):
+        detection = DetectionConfig(votes_needed=3, blacklist_rejected=blacklist_rejected)
+        ledger = run_scenario(self._adversary_config(duration=8.0, detection=detection))
+        assert ledger.reports
         for report in ledger.reports:
             assert report.accused.role is Role.ADVERSARY
             assert report.reporter.role is Role.BENIGN
