@@ -31,7 +31,7 @@ import sys
 import time
 from dataclasses import fields
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .analytic import (
     DetectionParams,
@@ -41,8 +41,7 @@ from .analytic import (
     pr_reveal_after_n,
     pr_skip,
 )
-from .engine import Disposition
-from .metrics import ReplicationResult
+from .metrics import OUTCOMES, ROW, ReplicationResult
 from .sim import AdversaryConfig, ConfigError, DetectionConfig, ScenarioConfig, run_replications
 
 WORKERS_ENV = "COOPVERIF_WORKERS"
@@ -192,12 +191,13 @@ _CDF_HEADER = "waiting_time,cum_prob\r\n"
 _CDF_ROW = "%.9g,%.9g\r\n"
 
 
-def _wait_line(run: int, node: int, d: Disposition) -> str:
-    """One ``waiting_times.csv`` row."""
-    return _WAIT_ROW % (
-        run, node, d.digest.value.hex(), d.sender.id, d.enqueue_time,
-        d.outcome.value, d.leave_queue_time, d.waiting_time,
-    )
+def _wait_lines(run: int, rows: bytes) -> Iterator[str]:
+    """The ``waiting_times.csv`` lines of one run's packed ledger rows."""
+    names = [kind.value for kind in OUTCOMES]
+    for node, code, sender, enqueue, left, digest in ROW.iter_unpack(rows):
+        yield _WAIT_ROW % (
+            run, node, digest.hex(), sender, enqueue, names[code], left, left - enqueue
+        )
 
 
 def _write_lines(path: Path, header: str, lines: Iterable[str]) -> None:
@@ -229,9 +229,9 @@ def export_replication(result: ReplicationResult, out_dir: Path) -> Dict[str, ob
         out_dir / "waiting_times.csv",
         _WAIT_HEADER,
         (
-            _wait_line(run_idx, node_id, disp)
+            line
             for run_idx, ledger in enumerate(result.runs)
-            for node_id, disp in ledger.records
+            for line in _wait_lines(run_idx, ledger.rows)
         ),
     )
 

@@ -58,10 +58,11 @@ ACCEPTED_KINDS = (SIGNATURE_ACCEPTED, COOPERATIVELY_ACCEPTED)
 
 @dataclass(slots=True)
 class Disposition:
-    """Ledger row of one received, non-duplicate message.
+    """Ledger row of one received, non-duplicate message, decoded on read.
 
-    Built (by :meth:`MetricsLedger.record_disposition`) only for the nodes
-    whose rows the ledger keeps; the other nodes only count outcomes.
+    The ledger keeps its rows packed and builds one of these only when a
+    reader asks (``MetricsLedger.records``); rows exist only for the nodes
+    whose rows the ledger keeps, the other nodes only count outcomes.
     ``leave_queue_time`` is the moment the job permanently left the queue:
     the pop instant for signature-verified jobs (the ``tau`` spent verifying
     is not waiting), or the cooperative acceptance instant.  A spot-checked
@@ -348,16 +349,17 @@ class NodeState:
             self.queue.audit()
         return job
 
-    def finish_verification(self, job: VerificationJob, *, revoked: bool = False) -> DispositionKind:
-        """Apply the revealed signature result at completion time.
+    def finish_verification(self, *, revoked: bool = False) -> DispositionKind:
+        """Apply the revealed signature result of ``in_flight`` at completion time.
 
         Returns the job's outcome; the job left the queue at ``popped_at``.
         With ``revoked`` (the sender was revoked while the check ran) the
         result is discarded: the job is purged, nothing enters the cache and
         the caller scans no claims and files no report.
         """
-        if self.in_flight is not job:
-            raise RuntimeError("finishing a verification that is not in flight")
+        job = self.in_flight
+        if job is None:
+            raise RuntimeError("no verification in flight")
         self.in_flight = None
         self.verifications_completed += 1
         if revoked:

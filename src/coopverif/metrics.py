@@ -1,13 +1,16 @@
 """Per-run measurement ledger and replication-level aggregation.
 
-A run produces one :class:`MetricsLedger`: per-message disposition records
+A run produces one :class:`MetricsLedger`: per-message disposition rows
 for the evaluated node (every node with ``record_all``), per-node counters
 for conservation checks, node 0's queue length per second, and the
-report/revocation event log.  The evaluated node's waiting samples and its
-per-second time series are read from its accepted rows, which the ledger
-indexes as it records them.  ``summarize`` flattens a ledger into the
-scalar row exported to ``summary.csv``; its keys, in order, are that file's
-columns.  :func:`pool_replications` merges several seeded runs the way the
+report/revocation event log.  Each kept row is packed by :data:`ROW` into
+one ``bytearray``, 35 bytes a row and no object per row; ``records``
+decodes them to :class:`~coopverif.engine.Disposition` rows on read.  The
+evaluated node's waiting samples and its per-second time series are read
+from its accepted rows, whose row numbers the ledger indexes as it records
+them.  ``summarize`` flattens a ledger into the scalar row exported to
+``summary.csv``; its keys, in order, are that file's columns.
+:func:`pool_replications` merges several seeded runs the way the
 experiments are reported (pooled waiting samples, averaged scalars).
 """
 
@@ -15,13 +18,23 @@ from __future__ import annotations
 
 import bisect
 import math
+import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import VerificationJob
+from .core import Digest80, NodeId, VerificationJob
 from .engine import ACCEPTED_KINDS, COOPERATIVELY_ACCEPTED, Disposition, DispositionKind
 from .threat import MisbehaviorReport
+
+# One kept row: node id, outcome code (its index in OUTCOMES), sender id,
+# enqueue time, leave-queue time and the 10 digest bytes.  The times are
+# IEEE doubles, so they read back bit for bit.
+ROW = struct.Struct("<IBIdd10s")
+OUTCOMES = tuple(DispositionKind)
+_CODES = {kind: code for code, kind in enumerate(OUTCOMES)}
+MAX_NODE_ID = 2**32 - 1  # the row's unsigned 32-bit id fields
 
 
 def quantile(sorted_samples: Sequence[float], q: float) -> float:
@@ -35,6 +48,57 @@ def quantile(sorted_samples: Sequence[float], q: float) -> float:
     return sorted_samples[idx]
 
 
+def _decode(fields: tuple, senders: Dict[int, NodeId]) -> Tuple[int, Disposition]:
+    node, code, sender, enqueue, left, digest = fields
+    return node, Disposition(OUTCOMES[code], Digest80(digest), senders[sender], enqueue, left)
+
+
+class Records:
+    """A ledger's kept rows as ``(node_id, Disposition)`` pairs, decoded on read.
+
+    Iteration, ``len`` and equality read the packed rows; ``pop()`` and
+    ``append(row)`` edit them the way recording does, so the ledger's index
+    of accepted rows stays in step.  A row's ``sender`` is the run's
+    :class:`NodeId` for its id.
+    """
+
+    __slots__ = ("_ledger",)
+
+    def __init__(self, ledger: "MetricsLedger") -> None:
+        self._ledger = ledger
+
+    def __len__(self) -> int:
+        return len(self._ledger.rows) // ROW.size
+
+    def __iter__(self) -> Iterator[Tuple[int, Disposition]]:
+        senders = self._ledger.senders
+        for fields in ROW.iter_unpack(self._ledger.rows):
+            yield _decode(fields, senders)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Records, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def append(self, row: Tuple[int, Disposition]) -> None:
+        node, d = row
+        self._ledger._keep(node, d.outcome, d.digest, d.sender, d.enqueue_time, d.leave_queue_time)
+
+    def pop(self) -> Tuple[int, Disposition]:
+        """Remove and return the last row, and its accepted-index entry."""
+        ledger = self._ledger
+        last = len(self) - 1
+        if last < 0:
+            raise IndexError("pop from empty records")
+        row = _decode(ROW.unpack_from(ledger.rows, last * ROW.size), ledger.senders)
+        del ledger.rows[last * ROW.size :]
+        if ledger.accepted and ledger.accepted[-1] == last:
+            ledger.accepted.pop()
+        return row
+
+
 @dataclass(slots=True)
 class MetricsLedger:
     """Everything measured in one simulation run."""
@@ -45,12 +109,15 @@ class MetricsLedger:
     record_all: bool = False
     evaluated_node: ClassVar[int] = 0
 
-    # Per-message rows: (node_id, Disposition).  Always kept for the
-    # evaluated node; for every node when record_all is set.
-    records: List[Tuple[int, Disposition]] = field(default_factory=list)
-    # The evaluated node's rows of accepted messages, in record order: the
-    # rows its waiting samples and time series are read from.
-    accepted_rows: List[Disposition] = field(default_factory=list)
+    # Per-message rows, packed by ROW in record order (``records`` decodes
+    # them).  Always kept for the evaluated node; for every node when
+    # record_all is set.
+    rows: bytearray = field(default_factory=bytearray)
+    # Row numbers of the evaluated node's accepted rows, in record order:
+    # the rows its waiting samples and time series are read from.
+    accepted: array = field(default_factory=lambda: array("L"))
+    # The NodeId of each sender id in the rows, for decoding.
+    senders: Dict[int, NodeId] = field(default_factory=dict)
     # Per-node outcome counts, kept for all nodes (conservation audits).
     outcome_counts: Dict[int, Counter] = field(default_factory=dict)
     receptions: Dict[int, int] = field(default_factory=dict)
@@ -78,8 +145,8 @@ class MetricsLedger:
     ) -> None:
         """Count ``job`` leaving ``node_id``'s queue for good at ``left_at``.
 
-        Every node's outcome is counted; a :class:`Disposition` row is built
-        only for the evaluated node, or for every node with ``record_all``.
+        Every node's outcome is counted; a row is kept only for the
+        evaluated node, or for every node with ``record_all``.
         """
         waiting = left_at - job.enqueue_time
         if waiting < -1e-12:
@@ -90,21 +157,47 @@ class MetricsLedger:
         counts[outcome] += 1
         if outcome is COOPERATIVELY_ACCEPTED and not job.message.valid:
             self.bogus_accepted[node_id] = self.bogus_accepted.get(node_id, 0) + 1
-        evaluated = node_id == self.evaluated_node
-        if self.record_all or evaluated:
-            row = Disposition(
-                outcome, job.digest, job.message.cam.sender, job.enqueue_time, left_at
-            )
-            self.records.append((node_id, row))
-            if evaluated and outcome in ACCEPTED_KINDS:
-                self.accepted_rows.append(row)
+        if self.record_all or node_id == self.evaluated_node:
+            sender = job.message.cam.sender
+            self._keep(node_id, outcome, job.digest, sender, job.enqueue_time, left_at)
+
+    def _keep(
+        self,
+        node_id: int,
+        outcome: DispositionKind,
+        digest: Digest80,
+        sender: NodeId,
+        enqueue_time: float,
+        left_at: float,
+    ) -> None:
+        """Pack one row, indexing it if it is an evaluated-node acceptance."""
+        if node_id == self.evaluated_node and outcome in ACCEPTED_KINDS:
+            self.accepted.append(len(self.rows) // ROW.size)
+        sender_id = sender.id
+        if sender_id not in self.senders:
+            self.senders[sender_id] = sender
+        self.rows += ROW.pack(
+            node_id, _CODES[outcome], sender_id, enqueue_time, left_at, digest.value
+        )
 
     # -- derived views ---------------------------------------------------------
 
     @property
+    def records(self) -> Records:
+        """The kept rows as ``(node_id, Disposition)`` pairs, in record order."""
+        return Records(self)
+
+    def _accepted_times(self) -> Iterator[Tuple[float, float]]:
+        """(enqueue, leave-queue) times of the evaluated node's accepted rows."""
+        rows, unpack, size = self.rows, ROW.unpack_from, ROW.size
+        for index in self.accepted:
+            _, _, _, enqueue, left, _ = unpack(rows, index * size)
+            yield enqueue, left
+
+    @property
     def waiting_samples(self) -> List[float]:
         """Evaluated-node waiting times of accepted messages, in record order."""
-        return [d.waiting_time for d in self.accepted_rows]
+        return [left - enqueue for enqueue, left in self._accepted_times()]
 
     def node_counts(self, node_id: int) -> Counter:
         return self.outcome_counts.get(node_id, Counter())
@@ -132,9 +225,9 @@ class MetricsLedger:
         """(second, mean accepted waiting that second, queue length) rows."""
         sums: Dict[int, float] = {}
         counts: Counter = Counter()
-        for d in self.accepted_rows:
-            sec = int(d.leave_queue_time)
-            sums[sec] = sums.get(sec, 0.0) + d.waiting_time
+        for enqueue, left in self._accepted_times():
+            sec = int(left)
+            sums[sec] = sums.get(sec, 0.0) + (left - enqueue)
             counts[sec] += 1
         rows = []
         for sec, qlen in enumerate(self.queue_len_samples):

@@ -46,7 +46,7 @@ from .engine import (
     DispositionKind,
     NodeState,
 )
-from .metrics import MetricsLedger, ReplicationResult, pool_replications
+from .metrics import MAX_NODE_ID, MetricsLedger, ReplicationResult, pool_replications
 from .threat import AdversaryConfig, AdversaryDriver, MisbehaviorReport, RevocationRegistry, detect_false_claim
 
 SCHEMES = ("baseline", "cooperative")
@@ -92,8 +92,9 @@ class ScenarioConfig:
     audit: bool = False
 
     def validate(self) -> None:
-        if self.n_nodes < 1:
-            raise ConfigError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        # Ledger rows hold node ids in 32 bits; an adversary takes id n_nodes.
+        if not 1 <= self.n_nodes <= MAX_NODE_ID:
+            raise ConfigError(f"n_nodes must be in [1, {MAX_NODE_ID}], got {self.n_nodes}")
         if not 0.0 <= self.pr_check <= 1.0:
             raise ConfigError(f"pr_check must be in [0, 1], got {self.pr_check}")
         if not 0 <= self.alpha <= MAX_CLAIMED:
@@ -290,7 +291,7 @@ class SimulationKernel:
         job = node.in_flight
         ledger = self.ledger
         revoked = job.message.cam.sender.id in self.registry.revoked
-        outcome = node.finish_verification(job, revoked=revoked)
+        outcome = node.finish_verification(revoked=revoked)
         if node_id == 0:
             ledger.busy_time += node.tau
         ledger.record_disposition(node_id, outcome, job, node.popped_at)
@@ -419,7 +420,7 @@ class SimulationKernel:
                 # finish (its outcome is already determined), but no claims
                 # or reports fire past the end of the run.
                 popped = node.popped_at
-                ledger.record_disposition(nid, node.finish_verification(job), job, popped)
+                ledger.record_disposition(nid, node.finish_verification(), job, popped)
                 if nid == 0:
                     ledger.busy_time += max(0.0, min(popped + node.tau, cfg.duration) - popped)
             for job in node.queue.drain():

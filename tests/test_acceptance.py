@@ -33,6 +33,7 @@ from coopverif.analytic import (
 )
 from coopverif.cli import main
 from coopverif.engine import DispositionKind
+from coopverif.metrics import ROW
 from coopverif.sim import (
     AdversaryConfig,
     DetectionConfig,
@@ -266,8 +267,8 @@ def test_criterion_09_engine_invariants_randomized():
             cached = {entry[1].value for entry in node.cache.entries}
             coop = {d.value for d in node._coop_accepted}
             assert not cached & coop, f"cache purity broken: trial {trial}"
-        for _, disp in ledger.records:
-            assert disp.waiting_time >= 0.0
+        for _, _, _, enqueue, left, _ in ROW.iter_unpack(ledger.rows):
+            assert left - enqueue >= 0.0
         checked += 1
     _report(9, checked == 1000, f"{checked}/1000 randomized scenarios audited clean")
 

@@ -4,6 +4,7 @@ import csv
 import filecmp
 import io
 import math
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,12 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coopverif.cli import (
-    _CDF_ROW, _SECTIONS, _csv_line, _fmt, _wait_line, _write_effective_config,
+    _CDF_ROW, _SECTIONS, _csv_line, _fmt, _wait_lines, _write_effective_config,
     export_replication, load_config, main,
 )
 from coopverif.core import Digest80, NodeId
-from coopverif.engine import ACCEPTED_KINDS, Disposition, DispositionKind
-from coopverif.metrics import MetricsLedger, pool_replications
+from coopverif.engine import Disposition, DispositionKind
+from coopverif.metrics import MAX_NODE_ID, OUTCOMES, ROW, MetricsLedger, pool_replications
 from coopverif.sim import ConfigError, run_replications
 
 SMALL = ["--set", "n_nodes=4", "--set", "duration=3", "--set", "seed=5"]
@@ -377,6 +378,16 @@ class TestSweepCommand:
         assert sorted(p.name for p in spaced.iterdir()) == names
         assert filecmp.cmp(plain / "combined.csv", spaced / "combined.csv", shallow=False)
 
+    def test_node_ids_past_the_ledger_row_exit_2_before_any_run(self, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran a scenario whose node ids do not fit a ledger row")
+
+        monkeypatch.setattr("coopverif.cli.run_replications", must_not_run)
+        out = tmp_path / "run"
+        rc = main(["run", "--out", str(out), "--runs", "1", "--set", f"n_nodes={MAX_NODE_ID + 1}"])
+        assert rc == 2
+        assert not out.exists()
+
     def test_unknown_param_exits_2(self, tmp_path):
         rc = main(["sweep", "--param", "bogosity", "--values", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -524,6 +535,7 @@ EDGE_FLOATS = [
 ]
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
 ids = st.integers(min_value=0, max_value=2**63)
+node_ids = st.integers(min_value=0, max_value=MAX_NODE_ID)  # the ledger row's id range
 # Every kind of cell the CLI writes: NaN (written empty), empty strings,
 # ints, floats, hex digests, outcome and event names, scheme names and
 # sweep labels.
@@ -555,20 +567,41 @@ def synthetic_result(rows_per_run: int, runs: int = 1):
             disp = Disposition(kinds[i % len(kinds)], Digest80(i.to_bytes(10, "big")),
                                senders[(i + 1) % 30], enqueue, enqueue + (i % 97) * 1e-3)
             ledger.records.append((i % 30, disp))
-            if i % 30 == 0 and disp.outcome in ACCEPTED_KINDS:
-                ledger.accepted_rows.append(disp)  # as record_disposition indexes node 0's
         ledgers.append(ledger)
     return pool_replications(ledgers)
 
 
-class TestStreamingExport:
-    @given(ids, ids, st.binary(min_size=10, max_size=10), ids, finite_floats, finite_floats,
-           st.sampled_from(DispositionKind))
-    def test_wait_line_matches_csv_writer(self, run, node, digest, sender, enqueue, leave, kind):
+class TestPackedRows:
+    @given(node_ids, st.sampled_from(DispositionKind), node_ids, finite_floats, finite_floats,
+           st.binary(min_size=10, max_size=10))
+    def test_row_decodes_to_an_equal_disposition(self, node, kind, sender, enqueue, leave, digest):
         disp = Disposition(kind, Digest80(digest), NodeId(sender), enqueue, leave)
-        row = [run, node, disp.digest.hex(), disp.sender.id, disp.enqueue_time,
-               disp.outcome.value, disp.leave_queue_time, disp.waiting_time]
-        assert _wait_line(run, node, disp) == csv_line(row)
+        ledger = MetricsLedger(seed=0, scheme="cooperative", duration=1.0, record_all=True)
+        ledger.records.append((node, disp))
+        assert len(ledger.rows) == ROW.size == 35
+        ((got_node, got),) = ledger.records
+        assert (got_node, got) == (node, disp)
+        assert got.sender is disp.sender
+        assert bits(got.enqueue_time, got.leave_queue_time, got.waiting_time) == bits(
+            enqueue, leave, disp.waiting_time)
+
+    def test_edge_floats_read_back_bit_for_bit(self):
+        for value in EDGE_FLOATS + [-v for v in EDGE_FLOATS]:
+            (fields,) = ROW.iter_unpack(ROW.pack(0, 0, 0, value, -value, bytes(10)))
+            assert bits(*fields[3:5]) == bits(value, -value)
+
+
+def bits(*floats) -> bytes:
+    return struct.pack(f"<{len(floats)}d", *floats)
+
+
+class TestStreamingExport:
+    @given(ids, node_ids, st.binary(min_size=10, max_size=10), node_ids, finite_floats,
+           finite_floats, st.sampled_from(DispositionKind))
+    def test_wait_line_matches_csv_writer(self, run, node, digest, sender, enqueue, leave, kind):
+        packed = ROW.pack(node, OUTCOMES.index(kind), sender, enqueue, leave, digest)
+        row = [run, node, digest.hex(), sender, enqueue, kind.value, leave, leave - enqueue]
+        assert list(_wait_lines(run, packed)) == [csv_line(row)]
 
     @given(st.lists(cells, min_size=2, max_size=8))
     def test_csv_line_matches_csv_writer(self, row):

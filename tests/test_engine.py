@@ -127,7 +127,7 @@ class TestPopAndVerify:
         node.receive(job.message, job.digest, now=1.0)
         popped = node.pop_and_verify(now=1.25)
         assert node.in_flight is popped and node.popped_at == 1.25
-        outcome = node.finish_verification(popped)
+        outcome = node.finish_verification()
         assert node.in_flight is None
         assert outcome is DispositionKind.SIGNATURE_ACCEPTED
         disp = ledger_row(outcome, popped, node.popped_at)
@@ -155,8 +155,8 @@ class TestPopAndVerify:
             node.receive(job.message, job.digest, now=0.0)
             popped = node.pop_and_verify(0.5)
             with pytest.raises(TypeError):
-                node.finish_verification(popped, True)  # revoked is keyword-only
-            outcome = node.finish_verification(popped, revoked=True)
+                node.finish_verification(True)  # revoked is keyword-only
+            outcome = node.finish_verification(revoked=True)
             assert outcome is DispositionKind.PURGED_REVOKED
             disp = ledger_row(outcome, popped, node.popped_at)
             assert disp.leave_queue_time == 0.5 and popped.message.valid is valid
@@ -167,7 +167,8 @@ class TestPopAndVerify:
         node = make_node()
         job = make_job(valid=False)
         node.receive(job.message, job.digest, now=0.0)
-        outcome = node.finish_verification(node.pop_and_verify(0.1))
+        node.pop_and_verify(0.1)
+        outcome = node.finish_verification()
         assert outcome is DispositionKind.REJECTED_INVALID
         assert len(node.cache) == 0
 
@@ -176,7 +177,7 @@ class TestPopAndVerify:
         job = make_job()
         node.receive(job.message, job.digest, now=1.000)
         popped = node.pop_and_verify(1.250)
-        disp = ledger_row(node.finish_verification(popped), popped, node.popped_at)
+        disp = ledger_row(node.finish_verification(), popped, node.popped_at)
         assert disp.waiting_time == pytest.approx(0.250)
         assert disp.leave_queue_time == pytest.approx(1.250)
 
@@ -188,6 +189,18 @@ class TestPopAndVerify:
         node.pop_and_verify(0.0)
         with pytest.raises(RuntimeError):
             node.pop_and_verify(0.001)
+
+    def test_finish_needs_a_verification_in_flight(self):
+        node = make_node()
+        job = make_job()
+        node.receive(job.message, job.digest, now=0.0)
+        with pytest.raises(RuntimeError, match="no verification in flight"):
+            node.finish_verification()
+        node.pop_and_verify(0.0)
+        node.finish_verification()
+        with pytest.raises(RuntimeError, match="no verification in flight"):
+            node.finish_verification()
+        assert node.verifications_completed == 1
 
 
 class TestApplyClaims:
@@ -279,7 +292,8 @@ class TestApplyClaims:
             node.apply_claims(claim, compute_digest(claim))
             checked += node.spot_checks_set - before
             if job.b:
-                node.finish_verification(node.pop_and_verify(2.0))
+                node.pop_and_verify(2.0)
+                node.finish_verification()
         assert abs(checked / trials - pr_check) < 0.01
 
 
@@ -464,7 +478,7 @@ class TestQueueInvariants:
                     popped = node.pop_and_verify(now)
                     live.remove(popped)
                     assert popped.b in (True, False)
-                    node.finish_verification(popped)
+                    node.finish_verification()
                 elif op in ("claim_zero", "claim_one"):
                     target = rng.choice(live)
                     claim = make_message(
@@ -502,5 +516,6 @@ class TestQueueInvariants:
         # mean a duplicate slipped in; the audit must catch it
         twin = VerificationJob(message=job.message, digest=job.digest, enqueue_time=2.0)
         node.queue.append(twin)
+        node.pop_and_verify(3.0)
         with pytest.raises(QueueInvariantError):
-            node.finish_verification(node.pop_and_verify(3.0))
+            node.finish_verification()

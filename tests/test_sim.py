@@ -13,7 +13,7 @@ from scipy import stats
 from coopverif.cli import export_replication
 from coopverif.core import Role, VerificationJob, compute_digest
 from coopverif.engine import DispositionKind, NodeState, VerificationQueue
-from coopverif.metrics import MetricsLedger
+from coopverif.metrics import MAX_NODE_ID, OUTCOMES, ROW, MetricsLedger
 from coopverif.sim import (
     AdversaryConfig,
     ConfigError,
@@ -308,9 +308,28 @@ class TestLazyRecords:
                            detection=DetectionConfig(votes_needed=2))
         for record_all in (False, True):
             ledger = run_scenario(replace(cfg, record_all_nodes=record_all))
-            scanned = [d for nid, d in ledger.records if nid == 0 and d.outcome in ACCEPTED]
-            assert scanned and ledger.accepted_rows == scanned
-            assert all(a is b for a, b in zip(ledger.accepted_rows, scanned))
+            scanned = [i for i, (nid, code, *_) in enumerate(ROW.iter_unpack(ledger.rows))
+                       if nid == 0 and OUTCOMES[code] in ACCEPTED]
+            assert scanned and ledger.accepted.tolist() == scanned
+            assert ledger.waiting_samples == [
+                d.waiting_time for nid, d in ledger.records if nid == 0 and d.outcome in ACCEPTED
+            ]
+
+    def test_pop_and_append_keep_the_accepted_index_in_step(self):
+        ledger = run_scenario(short_config(n_nodes=4, duration=2.0, seed=5))
+        rows = list(ledger.records)
+        last = max(i for i, (nid, d) in enumerate(rows) if nid == 0 and d.outcome in ACCEPTED)
+        samples = ledger.waiting_samples
+        tail = rows[last:]
+        for row in reversed(tail[1:]):
+            assert ledger.records.pop() == row
+        assert ledger.waiting_samples == samples  # no accepted row popped yet
+        assert ledger.records.pop() == rows[last]
+        assert ledger.waiting_samples == samples[:-1]
+        for row in tail:
+            ledger.records.append(row)
+        assert ledger.waiting_samples == samples
+        assert ledger.records == rows
 
     def test_negative_waiting_raises_for_a_node_without_rows(self):
         ledger = MetricsLedger(seed=0, scheme="cooperative", duration=1.0)
@@ -520,6 +539,22 @@ class TestCollectorPause:
         del result
         assert gc.collect() == 0
 
+    def test_kept_rows_leave_nothing_for_the_collector(self, collector_off):
+        # One record_all_nodes adversary scenario at two durations: the
+        # longer run keeps 40,000 more rows, but no more tracked objects.
+        cfg = ScenarioConfig(n_nodes=20, tau=0.008, seed=2, record_all_nodes=True,
+                             adversary=AdversaryConfig(gamma_adv=10.0),
+                             detection=DetectionConfig(votes_needed=2))
+        tracked, rows = [], []
+        for duration in (2.0, 12.0):
+            ledger = run_scenario(replace(cfg, duration=duration))
+            tracked.append(len(gc.get_objects()))
+            rows.append(len(ledger.records))
+            assert ledger.revocations
+            del ledger
+        assert rows[1] - rows[0] == 40_000
+        assert abs(tracked[1] - tracked[0]) < 1_000
+
     @pytest.mark.parametrize("was_on", [True, False])
     def test_run_leaves_the_callers_setting(self, was_on, monkeypatch):
         finalize = SimulationKernel._finalize
@@ -669,6 +704,13 @@ class TestConfigValidation:
         # Through validate() only: a run with duration=inf would never end.
         with pytest.raises(ConfigError):
             ScenarioConfig(**bad).validate()
+
+    def test_node_ids_must_fit_the_ledger_row(self):
+        # Through validate() only: no kernel of this size is ever built.
+        for adversary in (None, AdversaryConfig()):
+            ScenarioConfig(n_nodes=MAX_NODE_ID, adversary=adversary).validate()
+            with pytest.raises(ConfigError, match="n_nodes"):
+                ScenarioConfig(n_nodes=MAX_NODE_ID + 1, adversary=adversary).validate()
 
     def test_n45_supported(self):
         cfg = ScenarioConfig(n_nodes=45, duration=0.5, seed=1)

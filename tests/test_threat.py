@@ -133,7 +133,7 @@ class TestDetectFalseClaim:
             claim = make_message(sender_id=7, ts=1.0, seq=2, digests=[job.digest])
             node.apply_claims(claim, compute_digest(claim))
         popped = node.pop_and_verify(1.5)
-        return node, popped, node.finish_verification(popped)
+        return node, popped, node.finish_verification()
 
     def test_spot_checked_bogus_yields_report(self):
         node, job, _ = self._spot_checked_result(valid=False)
@@ -240,7 +240,7 @@ class TestForcedReceptionRevealRate:
             while len(node.queue) and node.queue.jobs[0].b:
                 now += node.tau
                 job = node.pop_and_verify(now)
-                node.finish_verification(job)
+                node.finish_verification()
                 report = detect_false_claim(node.node_id, job, now + node.tau)
                 if report is not None:
                     assert report.accused == adversary
