@@ -80,8 +80,6 @@ class Records:
             return NotImplemented
         return list(self) == list(other)
 
-    __hash__ = None  # type: ignore[assignment]
-
     def append(self, row: Tuple[int, Disposition]) -> None:
         node, d = row
         self._ledger._keep(node, d.outcome, d.digest, d.sender, d.enqueue_time, d.leave_queue_time)
@@ -161,15 +159,8 @@ class MetricsLedger:
             sender = job.message.cam.sender
             self._keep(node_id, outcome, job.digest, sender, job.enqueue_time, left_at)
 
-    def _keep(
-        self,
-        node_id: int,
-        outcome: DispositionKind,
-        digest: Digest80,
-        sender: NodeId,
-        enqueue_time: float,
-        left_at: float,
-    ) -> None:
+    def _keep(self, node_id: int, outcome: DispositionKind, digest: Digest80, sender: NodeId,
+              enqueue_time: float, left_at: float) -> None:
         """Pack one row, indexing it if it is an evaluated-node acceptance."""
         if node_id == self.evaluated_node and outcome in ACCEPTED_KINDS:
             self.accepted.append(len(self.rows) // ROW.size)

@@ -312,6 +312,16 @@ class TestRunCommand:
         rc = main(["run", "--out", str(tmp_path / "o"), "--runs", "1", "--set", "gamma=nan"])
         assert rc == 2
 
+    def test_node_ids_past_the_ledger_row_exit_2_before_any_run(self, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran a scenario whose node ids do not fit a ledger row")
+
+        monkeypatch.setattr("coopverif.cli.run_replications", must_not_run)
+        out = tmp_path / "run"
+        rc = main(["run", "--out", str(out), "--runs", "1", "--set", f"n_nodes={MAX_NODE_ID + 1}"])
+        assert rc == 2
+        assert not out.exists()
+
     def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise ValueError("internal invariant")
@@ -377,16 +387,6 @@ class TestSweepCommand:
         assert names == ["combined.csv", "scheme=baseline", "scheme=cooperative"]
         assert sorted(p.name for p in spaced.iterdir()) == names
         assert filecmp.cmp(plain / "combined.csv", spaced / "combined.csv", shallow=False)
-
-    def test_node_ids_past_the_ledger_row_exit_2_before_any_run(self, tmp_path, monkeypatch):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("ran a scenario whose node ids do not fit a ledger row")
-
-        monkeypatch.setattr("coopverif.cli.run_replications", must_not_run)
-        out = tmp_path / "run"
-        rc = main(["run", "--out", str(out), "--runs", "1", "--set", f"n_nodes={MAX_NODE_ID + 1}"])
-        assert rc == 2
-        assert not out.exists()
 
     def test_unknown_param_exits_2(self, tmp_path):
         rc = main(["sweep", "--param", "bogosity", "--values", "1", "--out", str(tmp_path / "o")])
