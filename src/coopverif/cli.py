@@ -414,23 +414,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one scenario with replications")
-    run_p.add_argument("--config", type=Path, default=None, help="INI config file")
-    run_p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config value (repeatable)")
-    run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--runs", type=int, default=5, help="replications (default 5)")
-    run_p.add_argument("--seed", type=int, default=None, help="base seed override")
+    shared = argparse.ArgumentParser(add_help=False)  # run's and sweep's options
+    shared.add_argument("--config", type=Path, default=None, help="INI config file")
+    shared.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a config value (repeatable)")
+    shared.add_argument("--out", required=True, help="output directory")
+    shared.add_argument("--runs", type=int, default=5, help="replications (default 5)")
+    shared.add_argument("--seed", type=int, default=None, help="base seed override")
+
+    run_p = sub.add_parser("run", parents=[shared], help="run one scenario with replications")
     run_p.set_defaults(func=cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="sweep one parameter, defaults elsewhere")
-    sweep_p.add_argument("--config", type=Path, default=None)
-    sweep_p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    sweep_p = sub.add_parser("sweep", parents=[shared],
+                             help="sweep one parameter, defaults elsewhere")
     sweep_p.add_argument("--param", required=True, help="N, pr_check, alpha, tau, gamma or scheme")
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
-    sweep_p.add_argument("--out", required=True)
-    sweep_p.add_argument("--runs", type=int, default=5)
-    sweep_p.add_argument("--seed", type=int, default=None)
     sweep_p.set_defaults(func=cmd_sweep)
 
     an_p = sub.add_parser("analyze", help="closed-form detection and saturation numbers")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -23,10 +23,8 @@ MAX_CLAIMED = 255  # the encoding stores the claimed-digest count in one byte
 # Frame size accounting: a plain beacon (signature and certificate included)
 # occupies 300 bytes on air; each appended digest adds 10 bytes.
 BASE_FRAME_BYTES = 300
-HEADER_BYTES = 51  # fixed-width fields, see docs/message_encoding.md
-_PAD = b"\x00" * (BASE_FRAME_BYTES - HEADER_BYTES)
-
-_HEADER = struct.Struct(">QBdddQQBB")
+_HEADER = struct.Struct(">QBdddQQBB")  # fixed-width fields, see docs/message_encoding.md
+_PAD = b"\x00" * (BASE_FRAME_BYTES - _HEADER.size)
 
 
 class Role(Enum):
@@ -95,18 +93,16 @@ class SignedCam:
 class VerificationJob:
     """Queued work item for one received message.
 
-    ``b`` marks the job as selected for a signature spot check; it starts
-    False and flips to True at most once.  ``checked_by`` remembers which
-    accepted claim triggered the spot check so a failed check can be
-    attributed to the claimant.  Identity (not value) equality: each
-    reception is its own job.
+    ``checked_by`` set marks the job as selected for a signature spot check;
+    it is set at most once, to the accepted claim that triggered the check,
+    so a failed check can be attributed to the claimant.  Identity (not
+    value) equality: each reception is its own job.
     """
 
     message: SignedCam
     digest: Digest80
     enqueue_time: float
-    b: bool = False
-    checked_by: Optional[Tuple[NodeId, Digest80]] = field(default=None)
+    checked_by: Optional[Tuple[NodeId, Digest80]] = None
 
 
 def encode_signed_cam(message: SignedCam) -> bytes:
@@ -133,11 +129,6 @@ def encode_signed_cam(message: SignedCam) -> bytes:
     parts.extend(d.value for d in cam.claimed_digests)
     parts.append(_PAD)
     return b"".join(parts)
-
-
-def encoded_length(n_claimed: int) -> int:
-    """Frame length in bytes for a beacon carrying ``n_claimed`` digests."""
-    return BASE_FRAME_BYTES + DIGEST_BYTES * n_claimed
 
 
 def compute_digest(message: SignedCam) -> Digest80:

@@ -8,15 +8,15 @@ works head-first:
 1. pop the head job and verify its signature (``tau`` seconds);
 2. if valid, accept the message and scan its claimed digests against the
    queue: each matching unchecked job is either spot-checked (probability
-   ``pr_check``: flag it ``b=True`` and move it up, right behind the other
-   flagged jobs) or accepted cooperatively and removed;
+   ``pr_check``: set its ``checked_by`` and move it up, right behind the
+   other flagged jobs) or accepted cooperatively and removed;
 3. record the digest of every message this node signature-verified itself
    in a bounded cache, which feeds the claims of its own outgoing beacons.
 
-Spot-checked (``b=True``) jobs form a contiguous queue prefix; new arrivals
-insert at a uniformly random position within the unchecked suffix, which
-keeps the prefix intact while decorrelating verification order across
-neighbours.
+Spot-checked (``checked_by`` set) jobs form a contiguous queue prefix;
+new arrivals insert at a uniformly random position within the unchecked
+suffix, which keeps the prefix intact while decorrelating verification
+order across neighbours.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class VerificationQueue:
 
     def pop_head(self) -> VerificationJob:
         job = self.jobs.pop(0)
-        if job.b:
+        if job.checked_by is not None:
             self.checked_count -= 1
         del self.index[job.digest.value]
         return job
@@ -140,16 +140,15 @@ class VerificationQueue:
     def promote(self, digest: Digest80, checked_by: Tuple[NodeId, Digest80]) -> VerificationJob:
         """Flag a queued job for a spot check and move it up.
 
-        The job's check flag flips False -> True (exactly once) and the job
-        is reinserted immediately after the last already-flagged job, so
-        spot checks are served before ordinary arrivals.
+        The job's ``checked_by`` is set (exactly once) and the job is
+        reinserted immediately after the last already-flagged job, so spot
+        checks are served before ordinary arrivals.
         """
         job = self.index[digest.value]
-        if job.b:
+        if job.checked_by is not None:
             raise QueueInvariantError("promote() on an already-checked job")
         idx = self.jobs.index(job, self.checked_count)
         self.jobs.pop(idx)
-        job.b = True
         job.checked_by = checked_by
         self.jobs.insert(self.checked_count, job)
         self.checked_count += 1
@@ -158,10 +157,10 @@ class VerificationQueue:
     def remove(self, digest: Digest80) -> VerificationJob:
         """Remove a queued job (cooperative acceptance path)."""
         job = self.index.pop(digest.value)
-        start = 0 if job.b else self.checked_count
-        idx = self.jobs.index(job, start)
+        checked = job.checked_by is not None
+        idx = self.jobs.index(job, 0 if checked else self.checked_count)
         self.jobs.pop(idx)
-        if job.b:
+        if checked:
             self.checked_count -= 1
         return job
 
@@ -180,13 +179,13 @@ class VerificationQueue:
             self.jobs = [j for j in self.jobs if j.message.cam.sender.id != sender_id]
             for job in purged:
                 del self.index[job.digest.value]
-                if job.b:
+                if job.checked_by is not None:
                     self.checked_count -= 1
         return purged
 
     def audit(self) -> None:
         """Assert the partition and index invariants; audit runs only."""
-        flags = [j.b for j in self.jobs]
+        flags = [j.checked_by is not None for j in self.jobs]
         if flags != [True] * self.checked_count + [False] * (len(flags) - self.checked_count):
             raise QueueInvariantError(
                 f"checked jobs not a contiguous prefix: {flags}, count={self.checked_count}"
@@ -397,7 +396,7 @@ class NodeState:
         for claimed in accepted.cam.claimed_digests:
             job = queued(claimed.value)
             if job is not None:
-                if job.b:
+                if job.checked_by is not None:
                     continue
                 matched += 1
                 if self.rng.random() < self.pr_check:

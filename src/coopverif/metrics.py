@@ -193,10 +193,6 @@ class MetricsLedger:
     def node_counts(self, node_id: int) -> Counter:
         return self.outcome_counts.get(node_id, Counter())
 
-    def count(self, kind: DispositionKind, node_id: Optional[int] = None) -> int:
-        nid = self.evaluated_node if node_id is None else node_id
-        return self.node_counts(nid)[kind]
-
     def accepted_total(self, node_id: Optional[int] = None) -> int:
         nid = self.evaluated_node if node_id is None else node_id
         counts = self.node_counts(nid)
@@ -204,10 +200,8 @@ class MetricsLedger:
 
     def cooperative_ratio(self, node_id: Optional[int] = None) -> float:
         nid = self.evaluated_node if node_id is None else node_id
-        counts = self.node_counts(nid)
-        coop = counts[DispositionKind.COOPERATIVELY_ACCEPTED]
-        sig = counts[DispositionKind.SIGNATURE_ACCEPTED]
-        return coop / (coop + sig) if coop + sig else math.nan
+        accepted = self.accepted_total(nid)
+        return self.node_counts(nid)[COOPERATIVELY_ACCEPTED] / accepted if accepted else math.nan
 
     def first_revocation_time(self) -> Optional[float]:
         return self.revocations[0][1] if self.revocations else None
@@ -242,11 +236,7 @@ class MetricsLedger:
             "duplicates": self.duplicates.get(nid, 0),
             "lost_frames": self.lost_frames,
             "dropped_revoked_frames": self.dropped_revoked_frames,
-            "signature_accepted": counts[DispositionKind.SIGNATURE_ACCEPTED],
-            "cooperatively_accepted": counts[DispositionKind.COOPERATIVELY_ACCEPTED],
-            "rejected_invalid": counts[DispositionKind.REJECTED_INVALID],
-            "unprocessed_at_end": counts[DispositionKind.UNPROCESSED_AT_END],
-            "purged_revoked": counts[DispositionKind.PURGED_REVOKED],
+            **{kind.value: counts[kind] for kind in OUTCOMES},
             "accepted_total": self.accepted_total(),
             "cooperative_ratio": self.cooperative_ratio(),
             "waiting_mean": math.fsum(waits) / n if n else math.nan,

@@ -8,17 +8,19 @@ rates and the verification delay ``tau``, so the kernel's job is exact
 bookkeeping: one run is fully determined by its configuration and seed,
 with event ties broken by (time, event-kind rank, sequence number).
 
-Heap entries are plain ``(time, kind, seq, payload)`` tuples (see
-:class:`EventKind`), unpacked once per pop.  A generation or completion
-entry carries only its node's id; the job a completion finishes is the
-node's ``in_flight``.  Each transmitted frame is one entry: its delivery
+Heap entries are plain ``(time, kind, seq, payload)`` tuples, unpacked
+once per pop; the kind is one of the module ints ``CAM_GENERATION``,
+``FRAME_DELIVERY``, ``VERIFICATION_COMPLETE`` and ``RUN_END`` (their
+comment gives the payloads).  A generation or completion entry carries
+only its node's id; the job a completion finishes is the node's
+``in_flight``.  Each transmitted frame is one entry: its delivery
 carries the ids of every node that receives it, and the kernel hands the
-frame to them in ascending id order.  A run ends by
-checking that every node gave each of its receptions exactly one outcome,
-that no node verified faster than ``tau`` allows, that the ledger's
-revocations are the registry's, and that no revoked sender's job was still
-queued.  A run makes no reference cycles, so :meth:`SimulationKernel.run`
-pauses the cyclic garbage collector while it runs and leaves the caller's
+frame to them in ascending id order.  A run ends by checking that every
+node gave each of its receptions exactly one outcome, that no node
+verified faster than ``tau`` allows, that the ledger's revocations are
+the registry's, and that no revoked sender's job was still queued.  A
+run makes no reference cycles, so :meth:`SimulationKernel.run` pauses
+the cyclic garbage collector while it runs and leaves the caller's
 setting as it was when it returns.
 
 Two verification schemes are wired in: ``cooperative`` (random queue
@@ -34,7 +36,6 @@ import math
 import os
 import random
 from dataclasses import dataclass, replace
-from enum import IntEnum
 from heapq import heappop, heappush
 from typing import Iterator, List, Optional, Tuple
 
@@ -116,26 +117,13 @@ class ScenarioConfig:
                 raise ConfigError(str(exc)) from exc
 
 
-class EventKind(IntEnum):
-    """Kind slot of a heap entry ``(time, kind, seq, payload)``.
-
-    Entries order by time, then by kind (the enum value: generations before
-    deliveries before verification completions, run end last), then by the
-    push sequence number.  Payloads by kind: the sending node's id for a
-    generation, ``(receivers, frame, digest)`` for a frame's delivery to all
-    its receivers, the verifying node's id for a completion, ``()`` for the
-    run end.
-    """
-
-    CAM_GENERATION = 0
-    FRAME_DELIVERY = 1
-    VERIFICATION_COMPLETE = 2
-    RUN_END = 3
-
-
-_GENERATION = EventKind.CAM_GENERATION
-_DELIVERY = EventKind.FRAME_DELIVERY
-_COMPLETION = EventKind.VERIFICATION_COMPLETE
+# Kind slot of a heap entry ``(time, kind, seq, payload)``.  Entries order by
+# time, then by kind (generations before deliveries before verification
+# completions, run end last), then by the push sequence number.  Payloads by
+# kind: the sending node's id for a generation, ``(receivers, frame, digest)``
+# for a frame's delivery to all its receivers, the verifying node's id for a
+# completion, ``()`` for the run end.
+CAM_GENERATION, FRAME_DELIVERY, VERIFICATION_COMPLETE, RUN_END = range(4)
 
 
 def place_nodes(config: ScenarioConfig, rng: random.Random) -> List[Tuple[float, float]]:
@@ -263,8 +251,8 @@ class SimulationKernel:
         for i, times in enumerate(self._beacons):
             first = next(times, config.duration)
             if first < config.duration:
-                heappush(self._heap, (first, _GENERATION, next(self._seq), i))
-        heappush(self._heap, (config.duration, EventKind.RUN_END, next(self._seq), ()))
+                heappush(self._heap, (first, CAM_GENERATION, next(self._seq), i))
+        heappush(self._heap, (config.duration, RUN_END, next(self._seq), ()))
 
     # -- event handlers ------------------------------------------------------
 
@@ -276,15 +264,15 @@ class SimulationKernel:
             frame = self.nodes[node_id].build_own_cam(now)
         nxt = next(self._beacons[node_id], cfg.duration)
         if nxt < cfg.duration:
-            heappush(self._heap, (nxt, _GENERATION, next(self._seq), node_id))
+            heappush(self._heap, (nxt, CAM_GENERATION, next(self._seq), node_id))
         receivers, deliver_at, digest = broadcast(frame, now, cfg, self.total_nodes, self.channel_rng)
         self.ledger.lost_frames += self.total_nodes - 1 - len(receivers)
         if receivers:
-            heappush(self._heap, (deliver_at, _DELIVERY, next(self._seq), (receivers, frame, digest)))
+            heappush(self._heap, (deliver_at, FRAME_DELIVERY, next(self._seq), (receivers, frame, digest)))
 
     def _start_verification(self, node: NodeState, now: float) -> None:
         node.pop_and_verify(now)
-        heappush(self._heap, (now + node.tau, _COMPLETION, next(self._seq), node.node_id.id))
+        heappush(self._heap, (now + node.tau, VERIFICATION_COMPLETE, next(self._seq), node.node_id.id))
 
     def _handle_completion(self, node_id: int, now: float) -> None:
         node = self.nodes[node_id]
@@ -318,8 +306,6 @@ class SimulationKernel:
             self._start_verification(node, now)
 
     def _submit_report(self, report: MisbehaviorReport) -> None:
-        if report.reporter.role is not Role.BENIGN:
-            return  # the adversary files no reports
         self.ledger.reports.append(report)
         if self.registry.add_report(report):
             self._apply_revocation(report.accused.id, report.time)
@@ -368,9 +354,9 @@ class SimulationKernel:
         last_second = int(math.floor(cfg.duration))
         next_sample = 0
         samples = self.ledger.queue_len_samples
-        completion = _COMPLETION
-        delivery = _DELIVERY
-        generation = _GENERATION
+        completion = VERIFICATION_COMPLETE
+        delivery = FRAME_DELIVERY
+        generation = CAM_GENERATION
         handle_completion = self._handle_completion
         start_verification = self._start_verification
         while heap:
@@ -378,9 +364,9 @@ class SimulationKernel:
             while next_sample <= t and next_sample <= last_second:
                 samples.append(len(node0_jobs))
                 next_sample += 1
-            if kind is completion:
+            if kind == completion:
                 handle_completion(payload, t)
-            elif kind is delivery:
+            elif kind == delivery:
                 receivers, frame, digest = payload
                 if frame.cam.sender.id in revoked:
                     dropped += len(receivers)
@@ -391,7 +377,7 @@ class SimulationKernel:
                     node = nodes[rid]
                     if node.receive(frame, digest, t) is not None and node.in_flight is None:
                         start_verification(node, t)
-            elif kind is generation:
+            elif kind == generation:
                 self._handle_generation(payload, t)
             else:
                 break  # the run end
@@ -417,10 +403,12 @@ class SimulationKernel:
             job = node.in_flight
             if job is not None:
                 # The pop happened inside the run; the check is allowed to
-                # finish (its outcome is already determined), but no claims
-                # or reports fire past the end of the run.
+                # finish (its outcome is already determined, and purged if
+                # its sender was revoked), but no claims or reports fire past
+                # the end of the run.
                 popped = node.popped_at
-                ledger.record_disposition(nid, node.finish_verification(), job, popped)
+                outcome = node.finish_verification(revoked=job.message.cam.sender.id in revoked)
+                ledger.record_disposition(nid, outcome, job, popped)
                 if nid == 0:
                     ledger.busy_time += max(0.0, min(popped + node.tau, cfg.duration) - popped)
             for job in node.queue.drain():

@@ -206,9 +206,9 @@ def test_criterion_08_pr_check_workload_identities():
         full.verifications_completed[0] == full.accepted_total(0)
         and sum(full.verifications_completed.values())
         == sum(full.accepted_total(n) for n in full.outcome_counts)
-        and full.count(DispositionKind.COOPERATIVELY_ACCEPTED) == 0
+        and full.node_counts(0)[DispositionKind.COOPERATIVELY_ACCEPTED] == 0
     )
-    coop0 = never.count(DispositionKind.COOPERATIVELY_ACCEPTED)
+    coop0 = never.node_counts(0)[DispositionKind.COOPERATIVELY_ACCEPTED]
     never_ok = (
         coop0 == never.claims_matched[0]
         and sum(never.spot_checks_set.values()) == 0

@@ -16,7 +16,7 @@ from coopverif.engine import (
     VerifiedCache,
 )
 from coopverif.metrics import MetricsLedger
-from coopverif.sim import EventKind, ScenarioConfig, SimulationKernel
+from coopverif.sim import VERIFICATION_COMPLETE, ScenarioConfig, SimulationKernel
 
 from test_core import make_message
 
@@ -142,7 +142,7 @@ class TestPopAndVerify:
         job = make_job()
         node.receive(job.message, job.digest, now=0.2)
         kernel._start_verification(node, 0.25)
-        (done,) = [e for e in kernel._heap if e[1] is EventKind.VERIFICATION_COMPLETE]
+        (done,) = [e for e in kernel._heap if e[1] == VERIFICATION_COMPLETE]
         time, _, _, payload = done
         assert time == 0.25 + node.tau
         assert payload == 0
@@ -232,7 +232,6 @@ class TestApplyClaims:
         app = node.apply_claims(claim, claim_digest)
         assert app.matched == 1 and node.spot_checks_set == 1
         assert not app.accepted_jobs
-        assert job.b is True
         assert job.checked_by == (NodeId(9), claim_digest)
         # moved to the head: right after the (empty) checked prefix
         assert node.queue.jobs[0] is job
@@ -260,12 +259,12 @@ class TestApplyClaims:
         job = node.receive(template.message, template.digest, now=0.0)
         claim = self._claim_for([job])
         node.apply_claims(claim, compute_digest(claim))
-        assert job.b is True
+        assert job.checked_by == (NodeId(9), compute_digest(claim))
         calls_after_first = CountingRandom.calls
         second = self._claim_for([job], claimant_id=8, ts=11.0)
         app = node.apply_claims(second, compute_digest(second))
         assert app.matched == 0
-        assert CountingRandom.calls == calls_after_first  # no draw on b=1
+        assert CountingRandom.calls == calls_after_first  # no draw once checked
         assert job.checked_by[0] == NodeId(9)  # first claimant retained
 
     def test_claims_processed_in_list_order(self):
@@ -291,7 +290,7 @@ class TestApplyClaims:
             before = node.spot_checks_set
             node.apply_claims(claim, compute_digest(claim))
             checked += node.spot_checks_set - before
-            if job.b:
+            if job.checked_by is not None:
                 node.pop_and_verify(2.0)
                 node.finish_verification()
         assert abs(checked / trials - pr_check) < 0.01
@@ -477,7 +476,7 @@ class TestQueueInvariants:
                 elif op == "pop":
                     popped = node.pop_and_verify(now)
                     live.remove(popped)
-                    assert popped.b in (True, False)
+                    assert popped.checked_by is None or popped.checked_by[0] == NodeId(9)
                     node.finish_verification()
                 elif op in ("claim_zero", "claim_one"):
                     target = rng.choice(live)
@@ -502,7 +501,7 @@ class TestQueueInvariants:
         job = node.receive(template.message, template.digest, now=0.0)
         claim = make_message(sender_id=9, ts=1.0, digests=[job.digest])
         node.apply_claims(claim, compute_digest(claim))
-        assert job.b
+        assert job.checked_by is not None
         with pytest.raises(QueueInvariantError):
             node.queue.promote(job.digest, (NodeId(8), job.digest))
 

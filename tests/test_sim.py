@@ -6,6 +6,7 @@ import math
 import os
 import random
 from dataclasses import replace
+from heapq import heappush
 
 import pytest
 from scipy import stats
@@ -15,11 +16,11 @@ from coopverif.core import Role, VerificationJob, compute_digest
 from coopverif.engine import DispositionKind, NodeState, VerificationQueue
 from coopverif.metrics import MAX_NODE_ID, OUTCOMES, ROW, MetricsLedger
 from coopverif.sim import (
+    FRAME_DELIVERY,
     AdversaryConfig,
     ConfigError,
     ConservationError,
     DetectionConfig,
-    EventKind,
     ScenarioConfig,
     SimulationKernel,
     airtime,
@@ -145,7 +146,7 @@ class TestChannelTiming:
 class TestFanOut:
     @staticmethod
     def _deliveries(kernel):
-        return [e for e in kernel._heap if e[1] is EventKind.FRAME_DELIVERY]
+        return [e for e in kernel._heap if e[1] == FRAME_DELIVERY]
 
     def test_one_delivery_event_per_generation(self):
         kernel = SimulationKernel(ScenarioConfig(n_nodes=12, duration=1.0, loss_prob=0.5, seed=4))
@@ -379,13 +380,13 @@ class TestSchemes:
         for nid in range(8):
             assert coop.verifications_completed[nid] == fcfs.verifications_completed[nid]
             assert coop.receptions[nid] == fcfs.receptions[nid]
-        assert coop.count(DispositionKind.COOPERATIVELY_ACCEPTED) == 0
+        assert coop.node_counts(0)[DispositionKind.COOPERATIVELY_ACCEPTED] == 0
         assert coop.accepted_total() == fcfs.accepted_total()
 
     def test_baseline_ignores_claims(self):
         cfg = ScenarioConfig(n_nodes=6, scheme="baseline", duration=4.0, seed=2)
         ledger = run_scenario(cfg)
-        assert ledger.count(DispositionKind.COOPERATIVELY_ACCEPTED) == 0
+        assert ledger.node_counts(0)[DispositionKind.COOPERATIVELY_ACCEPTED] == 0
         assert ledger.claims_matched.get(0, 0) == 0
 
     def test_overloaded_baseline_grows_linearly(self):
@@ -438,6 +439,105 @@ class TestRunEnd:
         ledger = run_scenario(cfg)
         assert ledger.revocations
         assert ledger.queue_len_samples[-1] == ledger.final_queue_len
+
+
+    @staticmethod
+    def _revoked_mid_check(seed):
+        """The seed's adversary config, cut half a ``tau`` after its revocation.
+
+        Events before the cut do not depend on the run length, so the
+        revocation falls at the same instant in the cut run.
+        """
+        cfg = ScenarioConfig(
+            n_nodes=12,
+            tau=0.03,
+            seed=seed,
+            duration=6.0,
+            record_all_nodes=True,
+            adversary=AdversaryConfig(),
+            detection=DetectionConfig(votes_needed=3),
+        )
+        ((accused, revoked_at),) = run_scenario(cfg).revocations
+        return replace(cfg, duration=revoked_at + cfg.tau / 2), accused, revoked_at
+
+    @pytest.mark.parametrize("seed", [30, 33, 35, 36, 37])
+    def test_no_check_of_a_revoked_sender_completes_after_its_revocation(self, seed):
+        cfg, accused, revoked_at = self._revoked_mid_check(seed)
+        ledger = run_scenario(cfg)
+        assert ledger.revocations == [(accused, revoked_at)]
+        checked = (DispositionKind.SIGNATURE_ACCEPTED, DispositionKind.REJECTED_INVALID)
+        for node, disp in ledger.records:
+            if disp.sender.id == accused and disp.outcome in checked:
+                assert disp.leave_queue_time + cfg.tau <= revoked_at, f"node {node}"
+
+    def test_check_in_flight_at_the_end_from_a_revoked_sender_is_purged(self):
+        # Node 12 is revoked at 2.0704 s, just after node 1 popped its signed
+        # claim, and the run ends at 2.0854 s, before that check completes.
+        cfg = self._revoked_mid_check(36)[0]
+        kernel = SimulationKernel(cfg)
+        kernel._run_events()
+        node = kernel.nodes[1]
+        job = node.in_flight
+        assert job.message.valid and job.message.cam.sender.id == 12
+        assert node.popped_at <= kernel.ledger.revocations[0][1] < cfg.duration < node.popped_at + cfg.tau
+        kernel._finalize()
+        ledger = kernel.ledger
+        rows = [d.outcome for n, d in ledger.records if n == 1 and d.digest == job.digest]
+        assert rows == [DispositionKind.PURGED_REVOKED]
+        assert job.digest not in node.cache.digests()
+        counts = ledger.node_counts(1)
+        assert counts[DispositionKind.SIGNATURE_ACCEPTED] == 62
+        assert counts[DispositionKind.PURGED_REVOKED] == 13
+
+
+class TestEventOrder:
+    def test_ties_run_generation_delivery_completion_then_the_end(self):
+        """At one instant a generation runs first, then a delivery, then a
+        completion; the run end comes last and nothing after it is handled.
+
+        The entries are pushed in the opposite order, so only their kinds
+        order them.  A frame delivered to node 0 at the instant its check
+        completes is queued before that completion pops the next job.
+        """
+        tau = 0.005
+        end = 0.25 + tau
+        kernel = SimulationKernel(ScenarioConfig(n_nodes=3, duration=end, tau=tau, seed=1))
+        heap = kernel._heap
+        (generation,) = {e[1] for e in heap if e[3] != ()}
+        heap[:] = [e for e in heap if e[3] == ()]  # the run end alone
+        node = kernel.nodes[0]
+        for seq in (1, 2):
+            msg = make_message(seq=seq)
+            node.receive(msg, compute_digest(msg), 0.0)
+        kernel._start_verification(node, 0.25)
+        (completion,) = [e for e in heap if e[3] == 0]
+        assert completion[0] == end
+        kernel._handle_generation(2, 0.0)
+        (delivery,) = {e[1] for e in heap if isinstance(e[3], tuple) and e[3]}
+        heap[:] = [e for e in heap if e[3] == () or e is completion]
+        frame = make_message(seq=3)
+        digest = compute_digest(frame)
+        heappush(heap, (end, delivery, next(kernel._seq), ([0], frame, digest)))
+        heappush(heap, (end, generation, next(kernel._seq), 1))
+        heappush(heap, (end + 0.001, generation, next(kernel._seq), 2))
+
+        handled = []
+        kernel._handle_generation = lambda node_id, now: handled.append(("generation", node_id))
+        receive, complete = node.receive, kernel._handle_completion
+
+        def receiving(message, digest, now):
+            handled.append(("delivery", message.cam.seq))
+            return receive(message, digest, now)
+
+        def completing(node_id, now):
+            handled.append(("completion", node_id, digest.value in node.queue.index))
+            complete(node_id, now)
+
+        node.receive, kernel._handle_completion = receiving, completing
+        kernel.run()
+        assert handled == [("generation", 1), ("delivery", 3), ("completion", 0, True)]
+        # Node 0's next completion and node 2's generation stay in the heap.
+        assert sorted(e[0] for e in heap) == [end + 0.001, end + tau]
 
 
 class TestRunOnce:

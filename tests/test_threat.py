@@ -237,7 +237,7 @@ class TestForcedReceptionRevealRate:
                 node.receive(m, digests[i], now=0.1 * i)
             node.apply_claims(claim, claim_digest)
             now = 1.0
-            while len(node.queue) and node.queue.jobs[0].b:
+            while len(node.queue) and node.queue.jobs[0].checked_by is not None:
                 now += node.tau
                 job = node.pop_and_verify(now)
                 node.finish_verification()
