@@ -15,7 +15,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Tuple
 
 DIGEST_BYTES = 10  # 80-bit truncated SHA-256
 MAX_CLAIMED = 255  # the encoding stores the claimed-digest count in one byte
@@ -89,20 +89,20 @@ class SignedCam:
     valid: bool
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class VerificationJob:
-    """Queued work item for one received message.
+    """Work item for one delivered frame, shared by all its receivers.
 
-    ``checked_by`` set marks the job as selected for a signature spot check;
-    it is set at most once, to the accepted claim that triggered the check,
-    so a failed check can be attributed to the claimant.  Identity (not
-    value) equality: each reception is its own job.
+    The kernel builds one job per frame, enqueued at the delivery instant,
+    and every receiver queues that same object; nothing changes it after.
+    Whether a receiver spot-checks it is that receiver's own fact, kept in
+    its queue (``VerificationQueue.checked``).  Identity (not value)
+    equality: each delivered frame is its own job.
     """
 
     message: SignedCam
     digest: Digest80
     enqueue_time: float
-    checked_by: Optional[Tuple[NodeId, Digest80]] = None
 
 
 def encode_signed_cam(message: SignedCam) -> bytes:

@@ -8,15 +8,16 @@ works head-first:
 1. pop the head job and verify its signature (``tau`` seconds);
 2. if valid, accept the message and scan its claimed digests against the
    queue: each matching unchecked job is either spot-checked (probability
-   ``pr_check``: set its ``checked_by`` and move it up, right behind the
-   other flagged jobs) or accepted cooperatively and removed;
+   ``pr_check``: the queue flags it with the claim and moves it up, right
+   behind the other flagged jobs) or accepted cooperatively and removed;
 3. record the digest of every message this node signature-verified itself
    in a bounded cache, which feeds the claims of its own outgoing beacons.
 
-Spot-checked (``checked_by`` set) jobs form a contiguous queue prefix;
-new arrivals insert at a uniformly random position within the unchecked
-suffix, which keeps the prefix intact while decorrelating verification
-order across neighbours.
+A job is one frame's, shared by all its receivers and never changed; each
+queue keeps its own spot-check flags.  Flagged jobs form a contiguous
+queue prefix; new arrivals insert at a uniformly random position within
+the unchecked suffix, which keeps the prefix intact while decorrelating
+verification order across neighbours.
 """
 
 from __future__ import annotations
@@ -89,15 +90,17 @@ class VerificationQueue:
     """Pending jobs, spot-checked prefix first, with a digest index.
 
     ``index`` maps each queued job's digest bytes to the job; claim scans
-    read it directly, on the simulator's hottest path.
+    read it directly, on the simulator's hottest path.  ``checked`` maps
+    each job flagged for a spot check to the ``(claimant, claim digest)``
+    that flagged it; those jobs are ``jobs[:len(checked)]``, in order.
     """
 
-    __slots__ = ("jobs", "index", "checked_count", "duplicates_dropped")
+    __slots__ = ("jobs", "index", "checked", "duplicates_dropped")
 
     def __init__(self) -> None:
         self.jobs: List[VerificationJob] = []
         self.index: dict[bytes, VerificationJob] = {}
-        self.checked_count = 0
+        self.checked: dict[bytes, Tuple[NodeId, Digest80]] = {}
         self.duplicates_dropped = 0
 
     def __len__(self) -> int:
@@ -106,7 +109,7 @@ class VerificationQueue:
     def insert_random(self, job: VerificationJob, rng: random.Random) -> bool:
         """Insert at a uniform position within the unchecked suffix.
 
-        All ``len - checked_count + 1`` slots from just after the checked
+        All ``len - len(checked) + 1`` slots from just after the checked
         prefix through the tail are equally likely.  Returns False (and
         counts a duplicate) if the digest is already queued.
         """
@@ -114,7 +117,7 @@ class VerificationQueue:
         if key in self.index:
             self.duplicates_dropped += 1
             return False
-        checked = self.checked_count
+        checked = len(self.checked)
         pos = checked + int(rng.random() * (len(self.jobs) - checked + 1))
         self.jobs.insert(pos, job)
         self.index[key] = job
@@ -130,38 +133,37 @@ class VerificationQueue:
         self.index[key] = job
         return True
 
-    def pop_head(self) -> VerificationJob:
+    def pop_head(self) -> Tuple[VerificationJob, Optional[Tuple[NodeId, Digest80]]]:
+        """Remove the head job; returns it with its flag (None if unchecked)."""
         job = self.jobs.pop(0)
-        if job.checked_by is not None:
-            self.checked_count -= 1
-        del self.index[job.digest.value]
-        return job
+        key = job.digest.value
+        del self.index[key]
+        return job, self.checked.pop(key, None)
 
     def promote(self, digest: Digest80, checked_by: Tuple[NodeId, Digest80]) -> VerificationJob:
         """Flag a queued job for a spot check and move it up.
 
-        The job's ``checked_by`` is set (exactly once) and the job is
-        reinserted immediately after the last already-flagged job, so spot
-        checks are served before ordinary arrivals.
+        ``checked_by`` becomes the job's entry in ``checked`` (at most
+        once) and the job is reinserted right after the last flagged job,
+        so spot checks are served before ordinary arrivals.
         """
-        job = self.index[digest.value]
-        if job.checked_by is not None:
+        key = digest.value
+        job = self.index[key]
+        checked = self.checked
+        if key in checked:
             raise QueueInvariantError("promote() on an already-checked job")
-        idx = self.jobs.index(job, self.checked_count)
-        self.jobs.pop(idx)
-        job.checked_by = checked_by
-        self.jobs.insert(self.checked_count, job)
-        self.checked_count += 1
+        jobs = self.jobs
+        jobs.pop(jobs.index(job, len(checked)))
+        jobs.insert(len(checked), job)
+        checked[key] = checked_by
         return job
 
     def remove(self, digest: Digest80) -> VerificationJob:
         """Remove a queued job (cooperative acceptance path)."""
-        job = self.index.pop(digest.value)
-        checked = job.checked_by is not None
-        idx = self.jobs.index(job, 0 if checked else self.checked_count)
-        self.jobs.pop(idx)
-        if checked:
-            self.checked_count -= 1
+        key = digest.value
+        job = self.index.pop(key)
+        flagged = self.checked.pop(key, None) is not None
+        self.jobs.pop(self.jobs.index(job, 0 if flagged else len(self.checked)))
         return job
 
     def drain(self) -> List[VerificationJob]:
@@ -169,7 +171,7 @@ class VerificationQueue:
         jobs = self.jobs
         self.jobs = []
         self.index = {}
-        self.checked_count = 0
+        self.checked = {}
         return jobs
 
     def purge_sender(self, sender_id: int) -> List[VerificationJob]:
@@ -179,17 +181,13 @@ class VerificationQueue:
             self.jobs = [j for j in self.jobs if j.message.cam.sender.id != sender_id]
             for job in purged:
                 del self.index[job.digest.value]
-                if job.checked_by is not None:
-                    self.checked_count -= 1
+                self.checked.pop(job.digest.value, None)
         return purged
 
     def audit(self) -> None:
         """Assert the partition and index invariants; audit runs only."""
-        flags = [j.checked_by is not None for j in self.jobs]
-        if flags != [True] * self.checked_count + [False] * (len(flags) - self.checked_count):
-            raise QueueInvariantError(
-                f"checked jobs not a contiguous prefix: {flags}, count={self.checked_count}"
-            )
+        if [j.digest.value for j in self.jobs[: len(self.checked)]] != list(self.checked):
+            raise QueueInvariantError(f"checked jobs not the queue prefix: {len(self.checked)} flags")
         if len(self.index) != len(self.jobs):
             raise QueueInvariantError("digest index size mismatch")
         for job in self.jobs:
@@ -286,7 +284,6 @@ class NodeState:
         cooperative: bool,
         pr_check: float,
         alpha: int,
-        tau: float,
         rng: random.Random,
         audit: bool = False,
         blacklist_rejected: bool = False,
@@ -296,7 +293,6 @@ class NodeState:
         self.cooperative = cooperative
         self.pr_check = pr_check
         self.alpha = alpha
-        self.tau = tau
         self.rng = rng
         self.audit = audit
         self.blacklist_rejected = blacklist_rejected
@@ -305,6 +301,7 @@ class NodeState:
         # Baseline nodes never claim, so they keep no verified digests.
         self.cache = VerifiedCache(alpha if cooperative else 0)
         self.in_flight: Optional[VerificationJob] = None  # popped, signature check running
+        self.in_flight_flag: Optional[Tuple[NodeId, Digest80]] = None  # its spot-check claim
         self.popped_at = 0.0  # when ``in_flight`` left the queue
         self.seq = 0
         self.receptions = 0
@@ -316,19 +313,17 @@ class NodeState:
 
     # -- reception ---------------------------------------------------------
 
-    def receive(self, message: SignedCam, digest: Digest80, now: float) -> Optional[VerificationJob]:
-        """Queue one delivered frame; returns None for a duplicate digest."""
-        job = VerificationJob(message, digest, now)
+    def receive(self, job: VerificationJob) -> bool:
+        """Queue one delivered frame's shared job; False for a duplicate digest."""
         if self.cooperative:
-            accepted = self.queue.insert_random(job, self.rng)
+            queued = self.queue.insert_random(job, self.rng)
         else:
-            accepted = self.queue.append(job)
-        if accepted:
+            queued = self.queue.append(job)
+        if queued:
             self.receptions += 1
             if self.audit:
                 self.queue.audit()
-            return job
-        return None
+        return queued
 
     # -- verification ------------------------------------------------------
 
@@ -337,11 +332,12 @@ class NodeState:
 
         The signature outcome is revealed (and all acceptance side effects
         applied via :meth:`finish_verification`) at ``now + tau``; waiting
-        time is measured up to the pop instant.
+        time is measured up to the pop instant.  The job's spot-check flag
+        leaves the queue with it, into ``in_flight_flag``.
         """
         if self.in_flight is not None:
             raise RuntimeError("verifier is busy")
-        job = self.queue.pop_head()
+        job, self.in_flight_flag = self.queue.pop_head()
         self.in_flight = job
         self.popped_at = now
         if self.audit:
@@ -359,7 +355,7 @@ class NodeState:
         job = self.in_flight
         if job is None:
             raise RuntimeError("no verification in flight")
-        self.in_flight = None
+        self.in_flight = self.in_flight_flag = None
         self.verifications_completed += 1
         if revoked:
             outcome = PURGED_REVOKED
@@ -390,13 +386,14 @@ class NodeState:
         claimant = accepted.cam.sender
         queue = self.queue
         queued = queue.index.get
+        checked = queue.checked
         accepted_jobs: List[VerificationJob] = []
         blacklist_hits: List[Tuple[NodeId, Digest80, Digest80]] = []
         matched = 0
         for claimed in accepted.cam.claimed_digests:
             job = queued(claimed.value)
             if job is not None:
-                if job.checked_by is not None:
+                if claimed.value in checked:
                     continue
                 matched += 1
                 if self.rng.random() < self.pr_check:

@@ -14,14 +14,15 @@ once per pop; the kind is one of the module ints ``CAM_GENERATION``,
 comment gives the payloads).  A generation or completion entry carries
 only its node's id; the job a completion finishes is the node's
 ``in_flight``.  Each transmitted frame is one entry: its delivery
-carries the ids of every node that receives it, and the kernel hands the
-frame to them in ascending id order.  A run ends by checking that every
-node gave each of its receptions exactly one outcome, that no node
-verified faster than ``tau`` allows, that the ledger's revocations are
-the registry's, and that no revoked sender's job was still queued.  A
-run makes no reference cycles, so :meth:`SimulationKernel.run` pauses
-the cyclic garbage collector while it runs and leaves the caller's
-setting as it was when it returns.
+carries the ids of every node that receives it and the frame's one
+:class:`VerificationJob`, which the kernel hands to them in ascending id
+order.  A run ends by checking that every node gave each of its
+receptions exactly one outcome, that no node verified faster than
+``tau`` allows, that the ledger's revocations are the registry's, and
+that no revoked sender's job was still queued.  A run makes no reference
+cycles, so :meth:`SimulationKernel.run` pauses the cyclic garbage
+collector while it runs and leaves the caller's setting as it was when
+it returns.
 
 Two verification schemes are wired in: ``cooperative`` (random queue
 insertion, claim scanning, probabilistic spot checks) and ``baseline``
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Iterator, List, Optional, Tuple
 
-from .core import MAX_CLAIMED, Digest80, NodeId, Role, SignedCam, compute_digest, encode_signed_cam
+from .core import MAX_CLAIMED, Digest80, NodeId, Role, SignedCam, VerificationJob, compute_digest, encode_signed_cam
 from .engine import (
     COOPERATIVELY_ACCEPTED,
     REJECTED_INVALID,
@@ -120,8 +121,8 @@ class ScenarioConfig:
 # Kind slot of a heap entry ``(time, kind, seq, payload)``.  Entries order by
 # time, then by kind (generations before deliveries before verification
 # completions, run end last), then by the push sequence number.  Payloads by
-# kind: the sending node's id for a generation, ``(receivers, frame, digest)``
-# for a frame's delivery to all its receivers, the verifying node's id for a
+# kind: the sending node's id for a generation, ``(receivers, job)`` for a
+# frame's delivery to all its receivers, the verifying node's id for a
 # completion, ``()`` for the run end.
 CAM_GENERATION, FRAME_DELIVERY, VERIFICATION_COMPLETE, RUN_END = range(4)
 
@@ -217,7 +218,6 @@ class SimulationKernel:
                 cooperative=cooperative,
                 pr_check=config.pr_check,
                 alpha=config.alpha,
-                tau=config.tau,
                 rng=rng,
                 audit=config.audit,
                 blacklist_rejected=config.detection.blacklist_rejected,
@@ -268,20 +268,21 @@ class SimulationKernel:
         receivers, deliver_at, digest = broadcast(frame, now, cfg, self.total_nodes, self.channel_rng)
         self.ledger.lost_frames += self.total_nodes - 1 - len(receivers)
         if receivers:
-            heappush(self._heap, (deliver_at, FRAME_DELIVERY, next(self._seq), (receivers, frame, digest)))
+            job = VerificationJob(frame, digest, deliver_at)
+            heappush(self._heap, (deliver_at, FRAME_DELIVERY, next(self._seq), (receivers, job)))
 
     def _start_verification(self, node: NodeState, now: float) -> None:
         node.pop_and_verify(now)
-        heappush(self._heap, (now + node.tau, VERIFICATION_COMPLETE, next(self._seq), node.node_id.id))
+        heappush(self._heap, (now + self.config.tau, VERIFICATION_COMPLETE, next(self._seq), node.node_id.id))
 
     def _handle_completion(self, node_id: int, now: float) -> None:
         node = self.nodes[node_id]
-        job = node.in_flight
+        job, checked_by = node.in_flight, node.in_flight_flag
         ledger = self.ledger
         revoked = job.message.cam.sender.id in self.registry.revoked
         outcome = node.finish_verification(revoked=revoked)
         if node_id == 0:
-            ledger.busy_time += node.tau
+            ledger.busy_time += self.config.tau
         ledger.record_disposition(node_id, outcome, job, node.popped_at)
         if outcome is SIGNATURE_ACCEPTED:
             if node.cooperative:
@@ -299,7 +300,7 @@ class SimulationKernel:
                         )
                     )
         elif outcome is REJECTED_INVALID:
-            report = detect_false_claim(node.node_id, job, now)
+            report = detect_false_claim(node.node_id, job, checked_by, now)
             if report is not None:
                 self._submit_report(report)
         if node.queue.jobs:
@@ -367,15 +368,15 @@ class SimulationKernel:
             if kind == completion:
                 handle_completion(payload, t)
             elif kind == delivery:
-                receivers, frame, digest = payload
-                if frame.cam.sender.id in revoked:
+                receivers, job = payload
+                if job.message.cam.sender.id in revoked:
                     dropped += len(receivers)
                     continue
                 # Nothing can pop between one frame's deliveries: whatever
                 # a reception schedules lands at t + tau or at a later kind.
                 for rid in receivers:
                     node = nodes[rid]
-                    if node.receive(frame, digest, t) is not None and node.in_flight is None:
+                    if node.receive(job) and node.in_flight is None:
                         start_verification(node, t)
             elif kind == generation:
                 self._handle_generation(payload, t)
@@ -410,7 +411,7 @@ class SimulationKernel:
                 outcome = node.finish_verification(revoked=job.message.cam.sender.id in revoked)
                 ledger.record_disposition(nid, outcome, job, popped)
                 if nid == 0:
-                    ledger.busy_time += max(0.0, min(popped + node.tau, cfg.duration) - popped)
+                    ledger.busy_time += max(0.0, min(popped + cfg.tau, cfg.duration) - popped)
             for job in node.queue.drain():
                 sender = job.message.cam.sender.id
                 if sender in revoked:

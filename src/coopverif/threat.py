@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from .core import Digest80, NodeId, SignedCam, VerificationJob, compute_digest
 from .engine import NodeState
@@ -89,18 +89,19 @@ class RevocationRegistry:
 
 
 def detect_false_claim(
-    node_id: NodeId, job: VerificationJob, now: float
+    node_id: NodeId, job: VerificationJob, checked_by: Optional[Tuple[NodeId, Digest80]], now: float
 ) -> Optional[MisbehaviorReport]:
     """Turn a failed spot check into a report against the claimant.
 
-    Applies only when the finished job was flagged by an accepted claim
-    (``checked_by`` set) and its signature turned out invalid.  A bogus
-    message popped in the ordinary course is rejected without a report:
-    there is no claimant to attribute it to.
+    ``checked_by`` is the flag the reporter's queue held for the finished
+    job: ``(claimant, claim digest)`` of the accepted claim that flagged
+    it for a spot check, or None.  A report is made only for a flagged job
+    whose signature turned out invalid.  A bogus message popped in the
+    ordinary course is rejected without one: it has no claimant.
     """
-    if job.message.valid or job.checked_by is None:
+    if job.message.valid or checked_by is None:
         return None
-    claimant, claim_digest = job.checked_by
+    claimant, claim_digest = checked_by
     return MisbehaviorReport(
         reporter=node_id,
         accused=claimant,

@@ -1,5 +1,6 @@
 """Message types, canonical encoding, and digest tests."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -183,9 +184,10 @@ class TestComputeDigest:
 
 class TestVerificationJob:
     def test_fresh_job_is_unchecked(self):
+        """A job holds no spot-check state: its receivers' queues keep the flags."""
         msg = make_message()
         job = VerificationJob(message=msg, digest=compute_digest(msg), enqueue_time=1.0)
-        assert job.checked_by is None
+        assert [f.name for f in dataclasses.fields(job)] == ["message", "digest", "enqueue_time"]
 
     def test_identity_equality(self):
         msg = make_message()

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 from scipy import stats
 
 from coopverif.core import Digest80, NodeId, compute_digest
@@ -27,7 +29,6 @@ def make_node(
     cooperative=True,
     pr_check=0.2,
     alpha=5,
-    tau=0.005,
     seed="node-test",
     audit=True,
     blacklist_rejected=False,
@@ -38,11 +39,13 @@ def make_node(
         cooperative=cooperative,
         pr_check=pr_check,
         alpha=alpha,
-        tau=tau,
         rng=random.Random(seed),
         audit=audit,
         blacklist_rejected=blacklist_rejected,
     )
+
+
+TAU = 0.005  # the kernel's default verification delay
 
 
 def make_job(sender_id=1, seq=0, valid=True, ts=0.0, enqueue=0.0):
@@ -123,8 +126,8 @@ class TestRandomInsertion:
 class TestPopAndVerify:
     def test_valid_head_accepted_and_cached(self):
         node = make_node()
-        job = make_job(valid=True, ts=3.5)
-        node.receive(job.message, job.digest, now=1.0)
+        job = make_job(valid=True, ts=3.5, enqueue=1.0)
+        assert node.receive(job)
         popped = node.pop_and_verify(now=1.25)
         assert node.in_flight is popped and node.popped_at == 1.25
         outcome = node.finish_verification()
@@ -137,14 +140,14 @@ class TestPopAndVerify:
         assert node.cache.digests() == (disp.digest,)
 
     def test_kernel_completes_tau_after_pop(self):
-        kernel = SimulationKernel(ScenarioConfig(n_nodes=2, duration=1.0))
+        kernel = SimulationKernel(ScenarioConfig(n_nodes=2, duration=1.0, tau=TAU))
         node = kernel.nodes[0]
-        job = make_job()
-        node.receive(job.message, job.digest, now=0.2)
+        job = make_job(enqueue=0.2)
+        node.receive(job)
         kernel._start_verification(node, 0.25)
         (done,) = [e for e in kernel._heap if e[1] == VERIFICATION_COMPLETE]
         time, _, _, payload = done
-        assert time == 0.25 + node.tau
+        assert time == 0.25 + TAU
         assert payload == 0
         assert node.in_flight.digest == job.digest
 
@@ -152,7 +155,7 @@ class TestPopAndVerify:
         node = make_node(blacklist_rejected=True)
         for valid in (True, False):
             job = make_job(valid=valid, seq=int(valid))
-            node.receive(job.message, job.digest, now=0.0)
+            node.receive(job)
             popped = node.pop_and_verify(0.5)
             with pytest.raises(TypeError):
                 node.finish_verification(True)  # revoked is keyword-only
@@ -166,7 +169,7 @@ class TestPopAndVerify:
     def test_invalid_head_rejected_cache_untouched(self):
         node = make_node()
         job = make_job(valid=False)
-        node.receive(job.message, job.digest, now=0.0)
+        node.receive(job)
         node.pop_and_verify(0.1)
         outcome = node.finish_verification()
         assert outcome is DispositionKind.REJECTED_INVALID
@@ -174,8 +177,8 @@ class TestPopAndVerify:
 
     def test_waiting_time_is_enqueue_to_pop(self):
         node = make_node()
-        job = make_job()
-        node.receive(job.message, job.digest, now=1.000)
+        job = make_job(enqueue=1.000)
+        node.receive(job)
         popped = node.pop_and_verify(1.250)
         disp = ledger_row(node.finish_verification(), popped, node.popped_at)
         assert disp.waiting_time == pytest.approx(0.250)
@@ -184,16 +187,14 @@ class TestPopAndVerify:
     def test_verifier_busy_guard(self):
         node = make_node()
         for seq in range(2):
-            job = make_job(seq=seq)
-            node.receive(job.message, job.digest, now=0.0)
+            node.receive(make_job(seq=seq))
         node.pop_and_verify(0.0)
         with pytest.raises(RuntimeError):
             node.pop_and_verify(0.001)
 
     def test_finish_needs_a_verification_in_flight(self):
         node = make_node()
-        job = make_job()
-        node.receive(job.message, job.digest, now=0.0)
+        node.receive(make_job())
         with pytest.raises(RuntimeError, match="no verification in flight"):
             node.finish_verification()
         node.pop_and_verify(0.0)
@@ -210,8 +211,8 @@ class TestApplyClaims:
 
     def test_pr_check_zero_accepts_cooperatively(self):
         node = make_node(pr_check=0.0)
-        job = make_job(valid=True)
-        node.receive(job.message, job.digest, now=1.0)
+        job = make_job(valid=True, enqueue=1.0)
+        node.receive(job)
         claim = self._claim_for([job])
         app = node.apply_claims(claim, compute_digest(claim))
         assert app.matched == 1 and node.spot_checks_set == 0
@@ -223,19 +224,18 @@ class TestApplyClaims:
 
     def test_pr_check_one_forces_spot_check(self):
         node = make_node(pr_check=1.0)
-        filler = make_job(sender_id=3, seq=50)
-        node.receive(filler.message, filler.digest, now=0.5)
-        template = make_job(valid=False, seq=51)
-        job = node.receive(template.message, template.digest, now=1.0)
+        node.receive(make_job(sender_id=3, seq=50, enqueue=0.5))
+        job = make_job(valid=False, seq=51, enqueue=1.0)
+        assert node.receive(job)
         claim = self._claim_for([job])
         claim_digest = compute_digest(claim)
         app = node.apply_claims(claim, claim_digest)
         assert app.matched == 1 and node.spot_checks_set == 1
         assert not app.accepted_jobs
-        assert job.checked_by == (NodeId(9), claim_digest)
+        assert node.queue.checked[job.digest.value] == (NodeId(9), claim_digest)
         # moved to the head: right after the (empty) checked prefix
         assert node.queue.jobs[0] is job
-        assert node.queue.checked_count == 1
+        assert len(node.queue.checked) == 1
 
     def test_absent_digest_ignored(self):
         node = make_node(pr_check=1.0)
@@ -255,23 +255,23 @@ class TestApplyClaims:
 
         node = make_node(pr_check=1.0)
         node.rng = CountingRandom(3)
-        template = make_job(seq=5)
-        job = node.receive(template.message, template.digest, now=0.0)
+        job = make_job(seq=5)
+        node.receive(job)
         claim = self._claim_for([job])
         node.apply_claims(claim, compute_digest(claim))
-        assert job.checked_by == (NodeId(9), compute_digest(claim))
+        assert node.queue.checked[job.digest.value] == (NodeId(9), compute_digest(claim))
         calls_after_first = CountingRandom.calls
         second = self._claim_for([job], claimant_id=8, ts=11.0)
         app = node.apply_claims(second, compute_digest(second))
         assert app.matched == 0
         assert CountingRandom.calls == calls_after_first  # no draw once checked
-        assert job.checked_by[0] == NodeId(9)  # first claimant retained
+        assert node.queue.checked[job.digest.value][0] == NodeId(9)  # first claimant retained
 
     def test_claims_processed_in_list_order(self):
         node = make_node(pr_check=0.0)
-        jobs = [make_job(sender_id=2, seq=i) for i in range(3)]
-        for i, j in enumerate(jobs):
-            node.receive(j.message, j.digest, now=float(i))
+        jobs = [make_job(sender_id=2, seq=i, enqueue=float(i)) for i in range(3)]
+        for j in jobs:
+            node.receive(j)
         claim = self._claim_for(jobs)
         app = node.apply_claims(claim, compute_digest(claim))
         assert [j.digest for j in app.accepted_jobs] == [j.digest for j in jobs]
@@ -284,13 +284,13 @@ class TestApplyClaims:
         checked = 0
         trials = 100_000
         for i in range(trials):
-            template = make_job(sender_id=4, seq=i)
-            job = node.receive(template.message, template.digest, now=0.0)
+            job = make_job(sender_id=4, seq=i)
+            node.receive(job)
             claim = self._claim_for([job], ts=float(i + 1))
             before = node.spot_checks_set
             node.apply_claims(claim, compute_digest(claim))
             checked += node.spot_checks_set - before
-            if job.checked_by is not None:
+            if job.digest.value in node.queue.checked:
                 node.pop_and_verify(2.0)
                 node.finish_verification()
         assert abs(checked / trials - pr_check) < 0.01
@@ -468,15 +468,15 @@ class TestQueueInvariants:
                 now += 0.001
                 op = rng.choice(self.OPS)
                 if op == "insert" or not live:
-                    template = make_job(sender_id=rng.randint(1, 4), seq=seq, ts=now)
+                    job = make_job(sender_id=rng.randint(1, 4), seq=seq, ts=now, enqueue=now)
                     seq += 1
-                    job = node.receive(template.message, template.digest, now)
-                    if job is not None:
+                    if node.receive(job):
                         live.append(job)
                 elif op == "pop":
                     popped = node.pop_and_verify(now)
                     live.remove(popped)
-                    assert popped.checked_by is None or popped.checked_by[0] == NodeId(9)
+                    flag = node.in_flight_flag
+                    assert flag is None or flag[0] == NodeId(9)
                     node.finish_verification()
                 elif op in ("claim_zero", "claim_one"):
                     target = rng.choice(live)
@@ -497,18 +497,18 @@ class TestQueueInvariants:
 
     def test_b_flag_flips_at_most_once(self):
         node = make_node(pr_check=1.0)
-        template = make_job()
-        job = node.receive(template.message, template.digest, now=0.0)
+        job = make_job()
+        node.receive(job)
         claim = make_message(sender_id=9, ts=1.0, digests=[job.digest])
         node.apply_claims(claim, compute_digest(claim))
-        assert job.checked_by is not None
+        assert job.digest.value in node.queue.checked
         with pytest.raises(QueueInvariantError):
             node.queue.promote(job.digest, (NodeId(8), job.digest))
 
     def test_cache_purity_audit_rejects_coop_accepted_digest(self):
         node = make_node(pr_check=0.0, audit=True)
         job = make_job()
-        node.receive(job.message, job.digest, now=0.0)
+        node.receive(job)
         claim = make_message(sender_id=9, ts=1.0, digests=[job.digest])
         node.apply_claims(claim, compute_digest(claim))
         # the same digest showing up for signature verification again would
@@ -518,3 +518,110 @@ class TestQueueInvariants:
         node.pop_and_verify(3.0)
         with pytest.raises(QueueInvariantError):
             node.finish_verification()
+
+
+class QueueModel(RuleBasedStateMachine):
+    """``VerificationQueue`` against a plain list of ``[job, flag]`` entries.
+
+    Jobs come from a small pool of (sender, seq) pairs, so duplicates and
+    multi-job purges are common.  Both sides draw insert ranks from equally
+    seeded RNGs, and the model applies the queue's rule: rank
+    ``checked + int(r * (len - checked + 1))``, behind the flagged prefix.
+    """
+
+    @initialize(seed=st.integers(0, 2**32 - 1))
+    def start(self, seed):
+        self.queue = VerificationQueue()
+        self.rng = random.Random(seed)
+        self.model_rng = random.Random(seed)
+        self.model = []  # [job, flag] in queue order; flagged entries first
+        self.duplicates = 0
+
+    def _checked(self):
+        return sum(flag is not None for _, flag in self.model)
+
+    def _queued(self, job):
+        return any(j.digest == job.digest for j, _ in self.model)
+
+    @rule(sender=st.integers(1, 3), seq=st.integers(0, 5))
+    def insert_random(self, sender, seq):
+        job = make_job(sender_id=sender, seq=seq)
+        if self._queued(job):
+            self.duplicates += 1
+            assert not self.queue.insert_random(job, self.rng)
+            return
+        checked = self._checked()
+        rank = checked + int(self.model_rng.random() * (len(self.model) - checked + 1))
+        self.model.insert(rank, [job, None])
+        assert self.queue.insert_random(job, self.rng)
+
+    @rule(sender=st.integers(1, 3), seq=st.integers(0, 5))
+    def append(self, sender, seq):
+        job = make_job(sender_id=sender, seq=seq)
+        if self._queued(job):
+            self.duplicates += 1
+            assert not self.queue.append(job)
+            return
+        self.model.append([job, None])
+        assert self.queue.append(job)
+
+    @precondition(lambda self: self.model)
+    @rule()
+    def pop_head(self):
+        job, flag = self.model.pop(0)
+        popped, popped_flag = self.queue.pop_head()
+        assert popped is job and popped_flag == flag
+
+    @precondition(lambda self: any(flag is None for _, flag in self.model))
+    @rule(pick=st.integers(0, 2**16), claimant=st.integers(4, 9))
+    def promote(self, pick, claimant):
+        checked = self._checked()
+        entry = self.model.pop(checked + pick % (len(self.model) - checked))
+        entry[1] = (NodeId(claimant), Digest80(bytes([claimant]) * 10))
+        self.model.insert(checked, entry)
+        assert self.queue.promote(entry[0].digest, entry[1]) is entry[0]
+
+    @precondition(lambda self: self._checked())
+    @rule(pick=st.integers(0, 2**16))
+    def promote_flagged_job(self, pick):
+        job, flag = self.model[pick % self._checked()]
+        with pytest.raises(QueueInvariantError):
+            self.queue.promote(job.digest, (NodeId(8), job.digest))
+
+    @precondition(lambda self: self.model)
+    @rule(pick=st.integers(0, 2**16))
+    def remove(self, pick):
+        job, _ = self.model.pop(pick % len(self.model))
+        assert self.queue.remove(job.digest) is job
+
+    @rule(sender=st.integers(1, 3))
+    def purge_sender(self, sender):
+        purged = [job for job, _ in self.model if job.message.cam.sender.id == sender]
+        self.model = [e for e in self.model if e[0].message.cam.sender.id != sender]
+        got = self.queue.purge_sender(sender)
+        assert len(got) == len(purged) and all(a is b for a, b in zip(got, purged))
+
+    @rule()
+    def drain(self):
+        jobs = [job for job, _ in self.model]
+        self.model = []
+        got = self.queue.drain()
+        assert len(got) == len(jobs) and all(a is b for a, b in zip(got, jobs))
+
+    @invariant()
+    def matches_model(self):
+        queue = self.queue
+        assert len(queue) == len(self.model)
+        assert all(a is b for a, (b, _) in zip(queue.jobs, self.model))
+        assert queue.index == {job.digest.value: job for job, _ in self.model}
+        flags = [(job.digest.value, flag) for job, flag in self.model if flag is not None]
+        assert list(queue.checked.items()) == flags
+        assert [flag is not None for _, flag in self.model] == (
+            [True] * len(flags) + [False] * (len(self.model) - len(flags))
+        )
+        assert queue.duplicates_dropped == self.duplicates
+        queue.audit()
+
+
+TestQueueModel = QueueModel.TestCase
+TestQueueModel.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)

@@ -1,6 +1,7 @@
 """Kernel tests: placement, beaconing, channel timing, scheme behaviour."""
 
 import concurrent.futures
+import dataclasses
 import gc
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from scipy import stats
 
 from coopverif.cli import export_replication
-from coopverif.core import Role, VerificationJob, compute_digest
+from coopverif.core import Digest80, NodeId, Role, VerificationJob, compute_digest
 from coopverif.engine import DispositionKind, NodeState, VerificationQueue
 from coopverif.metrics import MAX_NODE_ID, OUTCOMES, ROW, MetricsLedger
 from coopverif.sim import (
@@ -154,11 +155,45 @@ class TestFanOut:
         kernel._handle_generation(3, 0.05)
         (delivery,) = self._deliveries(kernel)
         assert len(kernel._heap) == before + 2  # the delivery and node 3's next beacon
-        _, _, _, (receivers, frame, digest) = delivery
+        deliver_at, _, _, (receivers, job) = delivery
         assert 0 < len(receivers) < 11 and 3 not in receivers
         assert receivers == sorted(receivers)
         assert len(receivers) + kernel.ledger.lost_frames == 12 - 1
-        assert digest == compute_digest(frame)
+        assert job.digest == compute_digest(job.message)
+        assert job.enqueue_time == deliver_at
+
+    def test_receivers_share_one_frozen_job(self):
+        """Every receiver of a frame queues the frame's one job; a spot-check
+        flag set at one receiver stays in that receiver's queue."""
+        kernel = SimulationKernel(ScenarioConfig(n_nodes=4, duration=1.0, seed=4))
+        kernel._handle_generation(3, 0.05)
+        (delivery,) = self._deliveries(kernel)
+        receivers, job = delivery[3]
+        assert receivers == [0, 1, 2]
+        # Each receiver is busy and has one job queued, so the frame's job
+        # stays queued next to it.
+        for rid in receivers:
+            node = kernel.nodes[rid]
+            for seq in (100 + 2 * rid, 101 + 2 * rid):
+                msg = make_message(sender_id=3, seq=seq)
+                assert node.receive(VerificationJob(msg, compute_digest(msg), 0.0))
+            node.pop_and_verify(0.0)
+        kernel._heap[:] = [delivery]
+        kernel._run_events()
+        queues = [kernel.nodes[rid].queue for rid in receivers]
+        for queue in queues:
+            assert len(queue) == 2 and job in queue.jobs
+            assert queue.index[job.digest.value] is job
+        orders = [list(queue.jobs) for queue in queues]
+        flag = (NodeId(9), Digest80(b"\x09" * 10))
+        queues[0].promote(job.digest, flag)
+        assert queues[0].checked == {job.digest.value: flag}
+        assert queues[0].jobs[0] is job
+        for queue, order in zip(queues[1:], orders[1:]):
+            assert queue.checked == {}
+            assert queue.jobs == order
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            job.enqueue_time = 0.0
 
     def test_fully_lost_frame_pushes_no_delivery(self):
         kernel = SimulationKernel(ScenarioConfig(n_nodes=5, duration=1.0, loss_prob=1.0))
@@ -508,7 +543,7 @@ class TestEventOrder:
         node = kernel.nodes[0]
         for seq in (1, 2):
             msg = make_message(seq=seq)
-            node.receive(msg, compute_digest(msg), 0.0)
+            node.receive(VerificationJob(msg, compute_digest(msg), 0.0))
         kernel._start_verification(node, 0.25)
         (completion,) = [e for e in heap if e[3] == 0]
         assert completion[0] == end
@@ -517,7 +552,7 @@ class TestEventOrder:
         heap[:] = [e for e in heap if e[3] == () or e is completion]
         frame = make_message(seq=3)
         digest = compute_digest(frame)
-        heappush(heap, (end, delivery, next(kernel._seq), ([0], frame, digest)))
+        heappush(heap, (end, delivery, next(kernel._seq), ([0], VerificationJob(frame, digest, end))))
         heappush(heap, (end, generation, next(kernel._seq), 1))
         heappush(heap, (end + 0.001, generation, next(kernel._seq), 2))
 
@@ -525,9 +560,9 @@ class TestEventOrder:
         kernel._handle_generation = lambda node_id, now: handled.append(("generation", node_id))
         receive, complete = node.receive, kernel._handle_completion
 
-        def receiving(message, digest, now):
-            handled.append(("delivery", message.cam.seq))
-            return receive(message, digest, now)
+        def receiving(job):
+            handled.append(("delivery", job.message.cam.seq))
+            return receive(job)
 
         def completing(node_id, now):
             handled.append(("completion", node_id, digest.value in node.queue.index))
@@ -577,7 +612,7 @@ class TestRunEndInvariants:
     def test_revoked_sender_still_queued_at_the_end(self):
         kernel = SimulationKernel(ScenarioConfig(n_nodes=4, duration=1.0))
         msg = make_message(sender_id=2)
-        assert kernel.nodes[0].receive(msg, compute_digest(msg), 0.0) is not None
+        assert kernel.nodes[0].receive(VerificationJob(msg, compute_digest(msg), 0.0))
         kernel.registry.revoked.add(2)
         kernel.ledger.revocations.append((2, 0.5))
         with pytest.raises(ConservationError, match="node 0: revoked sender 2 still queued"):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from coopverif.analytic import DetectionParams, pr_reveal
-from coopverif.core import Digest80, NodeId, Role, compute_digest
+from coopverif.core import Digest80, NodeId, Role, VerificationJob, compute_digest
 from coopverif.engine import NodeState
 from coopverif.sim import DetectionConfig, ScenarioConfig, SimulationKernel, beacon_times
 from coopverif.threat import (
@@ -17,7 +17,9 @@ from coopverif.threat import (
 )
 
 from test_core import make_message
-from test_engine import make_node
+from test_engine import make_job, make_node
+
+TAU = 0.005  # verification delay of the forced-reception trials
 
 
 def make_driver(k=5, alpha=5, seed="adv"):
@@ -27,7 +29,6 @@ def make_driver(k=5, alpha=5, seed="adv"):
         cooperative=True,
         pr_check=0.2,
         alpha=alpha,
-        tau=0.005,
         rng=random.Random(seed),
     )
     cfg = AdversaryConfig(bogus_per_claim=k)
@@ -126,18 +127,20 @@ class TestAdversaryEmission:
 
 class TestDetectFalseClaim:
     def _spot_checked_result(self, valid, with_claimant=True):
+        """The node, its finished job, the job's flag and the outcome."""
         node = make_node(pr_check=1.0)
-        template = make_message(sender_id=3, valid=valid, seq=1)
-        job = node.receive(template, compute_digest(template), now=0.0)
+        job = make_job(sender_id=3, valid=valid, seq=1, ts=1.5)
+        node.receive(job)
         if with_claimant:
             claim = make_message(sender_id=7, ts=1.0, seq=2, digests=[job.digest])
             node.apply_claims(claim, compute_digest(claim))
         popped = node.pop_and_verify(1.5)
-        return node, popped, node.finish_verification()
+        flag = node.in_flight_flag
+        return node, popped, flag, node.finish_verification()
 
     def test_spot_checked_bogus_yields_report(self):
-        node, job, _ = self._spot_checked_result(valid=False)
-        report = detect_false_claim(node.node_id, job, now=1.505)
+        node, job, flag, _ = self._spot_checked_result(valid=False)
+        report = detect_false_claim(node.node_id, job, flag, now=1.505)
         assert report is not None
         assert report.accused == NodeId(7)
         assert report.reporter == node.node_id
@@ -145,14 +148,14 @@ class TestDetectFalseClaim:
         assert report.time == pytest.approx(1.505)
 
     def test_spot_checked_valid_yields_none(self):
-        node, job, outcome = self._spot_checked_result(valid=True)
-        assert detect_false_claim(node.node_id, job, now=1.505) is None
+        node, job, flag, outcome = self._spot_checked_result(valid=True)
+        assert detect_false_claim(node.node_id, job, flag, now=1.505) is None
         assert outcome.value == "signature_accepted"
 
     def test_unclaimed_bogus_yields_none(self):
-        node, job, outcome = self._spot_checked_result(valid=False, with_claimant=False)
+        node, job, flag, outcome = self._spot_checked_result(valid=False, with_claimant=False)
         assert outcome.value == "rejected_invalid"
-        assert detect_false_claim(node.node_id, job, now=1.505) is None
+        assert detect_false_claim(node.node_id, job, flag, now=1.505) is None
 
     def test_self_report_rejected(self):
         with pytest.raises(ValueError):
@@ -217,6 +220,7 @@ class TestForcedReceptionRevealRate:
             for i in range(alpha)
         ]
         digests = [compute_digest(m) for m in bogus]
+        jobs = [VerificationJob(m, d, 0.1 * i) for i, (m, d) in enumerate(zip(bogus, digests))]
         claim = make_message(
             sender_id=99, role=Role.ADVERSARY, valid=True, seq=alpha, ts=float(alpha),
             digests=digests,
@@ -230,18 +234,18 @@ class TestForcedReceptionRevealRate:
                 cooperative=True,
                 pr_check=pr_check,
                 alpha=alpha,
-                tau=0.005,
                 rng=random.Random(f"forced:{rng_seed}:{node_idx}"),
             )
-            for i, m in enumerate(bogus):
-                node.receive(m, digests[i], now=0.1 * i)
+            for job in jobs:
+                node.receive(job)  # every node queues the same jobs
             node.apply_claims(claim, claim_digest)
             now = 1.0
-            while len(node.queue) and node.queue.jobs[0].checked_by is not None:
-                now += node.tau
+            while node.queue.checked:  # the head is flagged
+                now += TAU
                 job = node.pop_and_verify(now)
+                flag = node.in_flight_flag
                 node.finish_verification()
-                report = detect_false_claim(node.node_id, job, now + node.tau)
+                report = detect_false_claim(node.node_id, job, flag, now + TAU)
                 if report is not None:
                     assert report.accused == adversary
                     registry.add_report(report)
