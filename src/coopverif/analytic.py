@@ -124,6 +124,47 @@ def baseline_saturation(tau: float, gamma: float) -> float:
     return 1.0 / (tau * gamma)
 
 
+def baseline_wait_tail(senders: int, period: float, tau: float, x: float) -> float:
+    """Chance that a verify-everything queue holds more than ``x * tau`` of work.
+
+    The nD/D/1 unfinished-work tail of Roberts and Virtamo (IEEE Trans.
+    Commun. 39(2), 1991), seen at a uniform instant: ``senders`` periodic
+    streams of one ``period`` with i.i.d. uniform phases, each message
+    served in ``tau``.  With
+    ``tau`` as the unit and ``D = period / tau``,
+    ``Q(x) = sum over x < k <= senders of C(senders, k) ((k-x)/D)^k
+    (1 - (k-x)/D)^(senders-k) (D - senders + x) / (D - k + x)``.
+    A tagged frame sees the work of the other streams at a uniform
+    instant, so with ``n`` benign neighbours its wait has the tail
+    ``Q`` at ``senders = n - 1``.  Terms are summed in log space; the
+    queue must be stable (``senders * tau < period``).
+    """
+    for name, value in (("period", period), ("tau", tau)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if senders < 0:
+        raise ValueError(f"senders must be >= 0, got {senders}")
+    if senders * tau >= period:
+        raise ValueError(f"senders * tau must be below period, got {senders} * {tau} >= {period}")
+    if not (math.isfinite(x) and x >= 0):
+        raise ValueError(f"x must be >= 0 and finite, got {x}")
+    d = period / tau
+    lgn = math.lgamma(senders + 1)
+    terms = []
+    for k in range(math.floor(x) + 1, senders + 1):
+        share = (k - x) / d
+        log_term = (
+            lgn
+            - math.lgamma(k + 1)
+            - math.lgamma(senders - k + 1)
+            + k * math.log(share)
+            + (senders - k) * math.log1p(-share)
+            + math.log((d - senders + x) / (d - k + x))
+        )
+        terms.append(math.exp(log_term))
+    return math.fsum(terms)
+
+
 @dataclass(frozen=True, slots=True)
 class MonteCarloEstimate:
     estimate: float

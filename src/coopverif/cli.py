@@ -407,6 +407,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Once(argparse.Action):
+    """Store an option's value, refusing the option when it is given twice."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = namespace.__dict__.setdefault("_given", set())
+        if self.dest in given:
+            parser.error(f"{option_string} given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coopverif",
@@ -415,33 +426,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = argparse.ArgumentParser(add_help=False)  # run's and sweep's options
-    shared.add_argument("--config", type=Path, default=None, help="INI config file")
+    shared.add_argument("--config", action=_Once, type=Path, default=None,
+                        help="INI config file")
     shared.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config value (repeatable)")
-    shared.add_argument("--out", required=True, help="output directory")
-    shared.add_argument("--runs", type=int, default=5, help="replications (default 5)")
-    shared.add_argument("--seed", type=int, default=None, help="base seed override")
+    shared.add_argument("--out", action=_Once, required=True, help="output directory")
+    shared.add_argument("--runs", action=_Once, type=int, default=5,
+                        help="replications (default 5)")
+    shared.add_argument("--seed", action=_Once, type=int, default=None,
+                        help="base seed override")
 
     run_p = sub.add_parser("run", parents=[shared], help="run one scenario with replications")
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", parents=[shared],
                              help="sweep one parameter, defaults elsewhere")
-    sweep_p.add_argument("--param", required=True, help="N, pr_check, alpha, tau, gamma or scheme")
-    sweep_p.add_argument("--values", required=True, help="comma-separated values")
+    sweep_p.add_argument("--param", action=_Once, required=True,
+                         help="N, pr_check, alpha, tau, gamma or scheme")
+    sweep_p.add_argument("--values", action=_Once, required=True, help="comma-separated values")
     sweep_p.set_defaults(func=cmd_sweep)
 
     an_p = sub.add_parser("analyze", help="closed-form detection and saturation numbers")
-    an_p.add_argument("--alpha", type=int, required=True)
-    an_p.add_argument("--pr-check", type=float, required=True, dest="pr_check")
-    an_p.add_argument("--neighbors", type=int, required=True)
-    an_p.add_argument("--votes", type=int, required=True)
-    an_p.add_argument("--n-messages", type=int, default=1, dest="n_messages")
-    an_p.add_argument("--tau", type=float, default=0.005)
-    an_p.add_argument("--gamma", type=float, default=10.0)
-    an_p.add_argument("--trials", type=int, default=100_000)
-    an_p.add_argument("--seed", type=int, default=1)
-    an_p.add_argument("--out", default=".", help="directory for analysis.csv")
+    an_p.add_argument("--alpha", action=_Once, type=int, required=True)
+    an_p.add_argument("--pr-check", action=_Once, type=float, required=True, dest="pr_check")
+    an_p.add_argument("--neighbors", action=_Once, type=int, required=True)
+    an_p.add_argument("--votes", action=_Once, type=int, required=True)
+    an_p.add_argument("--n-messages", action=_Once, type=int, default=1, dest="n_messages")
+    an_p.add_argument("--tau", action=_Once, type=float, default=0.005)
+    an_p.add_argument("--gamma", action=_Once, type=float, default=10.0)
+    an_p.add_argument("--trials", action=_Once, type=int, default=100_000)
+    an_p.add_argument("--seed", action=_Once, type=int, default=1)
+    an_p.add_argument("--out", action=_Once, default=".", help="directory for analysis.csv")
     an_p.set_defaults(func=cmd_analyze)
 
     return parser

@@ -8,11 +8,17 @@ rates and the verification delay ``tau``, so the kernel's job is exact
 bookkeeping: one run is fully determined by its configuration and seed,
 with event ties broken by (time, event-kind rank, sequence number).
 
-Heap entries are plain ``(time, kind, seq, payload)`` tuples, unpacked
-once per pop; the kind is one of the module ints ``CAM_GENERATION``,
+Events are plain ``(time, kind, seq, payload)`` tuples, unpacked once
+per pop; the kind is one of the module ints ``CAM_GENERATION``,
 ``FRAME_DELIVERY``, ``VERIFICATION_COMPLETE`` and ``RUN_END`` (their
-comment gives the payloads).  A generation or completion entry carries
-only its node's id; the job a completion finishes is the node's
+comment gives the payloads).  Generations, deliveries and the run end
+live on a heap.  Verification completions live on a FIFO, which is
+already sorted: every node's check takes the one ``config.tau``, a check
+starts at the current event time, which never decreases, and IEEE
+addition rounds monotonically, so ``now + tau`` never decreases in push
+order while ``seq`` grows with it.  The loop pops whichever of the FIFO's
+head and the heap's top is smaller.  A generation or completion entry
+carries only its node's id; the job a completion finishes is the node's
 ``in_flight``.  Each transmitted frame is one entry: its delivery
 carries the ids of every node that receives it and the frame's one
 :class:`VerificationJob`, which the kernel hands to them in ascending id
@@ -36,9 +42,10 @@ import itertools
 import math
 import os
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from typing import Iterator, List, Optional, Tuple
+from typing import Deque, Iterator, List, Optional, Tuple
 
 from .core import MAX_CLAIMED, Digest80, NodeId, Role, SignedCam, VerificationJob, compute_digest, encode_signed_cam
 from .engine import (
@@ -118,12 +125,14 @@ class ScenarioConfig:
                 raise ConfigError(str(exc)) from exc
 
 
-# Kind slot of a heap entry ``(time, kind, seq, payload)``.  Entries order by
+# Kind slot of an event ``(time, kind, seq, payload)``.  Events order by
 # time, then by kind (generations before deliveries before verification
 # completions, run end last), then by the push sequence number.  Payloads by
 # kind: the sending node's id for a generation, ``(receivers, job)`` for a
 # frame's delivery to all its receivers, the verifying node's id for a
-# completion, ``()`` for the run end.
+# completion, ``()`` for the run end.  Completions go on the kernel's FIFO,
+# every other kind on its heap (the module docstring says why the FIFO is
+# sorted).
 CAM_GENERATION, FRAME_DELIVERY, VERIFICATION_COMPLETE, RUN_END = range(4)
 
 
@@ -190,8 +199,8 @@ def broadcast(
 class SimulationKernel:
     """Single-threaded event loop owning every node and the registry.
 
-    A kernel runs once: its nodes, heap and ledger hold the state one run
-    leaves behind.
+    A kernel runs once: its nodes, heap, completion FIFO and ledger hold
+    the state one run leaves behind.
     """
 
     _ran = False
@@ -248,6 +257,7 @@ class SimulationKernel:
         )
         self._seq = itertools.count()
         self._heap: List[tuple] = []
+        self._completions: Deque[tuple] = deque()
         for i, times in enumerate(self._beacons):
             first = next(times, config.duration)
             if first < config.duration:
@@ -273,7 +283,7 @@ class SimulationKernel:
 
     def _start_verification(self, node: NodeState, now: float) -> None:
         node.pop_and_verify(now)
-        heappush(self._heap, (now + self.config.tau, VERIFICATION_COMPLETE, next(self._seq), node.node_id.id))
+        self._completions.append((now + self.config.tau, VERIFICATION_COMPLETE, next(self._seq), node.node_id.id))
 
     def _handle_completion(self, node_id: int, now: float) -> None:
         node = self.nodes[node_id]
@@ -347,11 +357,13 @@ class SimulationKernel:
     def _run_events(self) -> None:
         cfg = self.config
         heap = self._heap
+        done = self._completions
         nodes = self.nodes
         node0_jobs = nodes[0].queue.jobs
         revoked = self.registry.revoked
         dropped = 0
         pop = heappop
+        popleft = done.popleft
         last_second = int(math.floor(cfg.duration))
         next_sample = 0
         samples = self.ledger.queue_len_samples
@@ -360,8 +372,11 @@ class SimulationKernel:
         generation = CAM_GENERATION
         handle_completion = self._handle_completion
         start_verification = self._start_verification
-        while heap:
-            t, kind, _, payload = pop(heap)
+        while heap or done:
+            if done and (not heap or done[0] < heap[0]):
+                t, kind, _, payload = popleft()
+            else:
+                t, kind, _, payload = pop(heap)
             while next_sample <= t and next_sample <= last_second:
                 samples.append(len(node0_jobs))
                 next_sample += 1

@@ -13,6 +13,7 @@ from coopverif import analytic
 from coopverif.analytic import (
     DetectionParams,
     baseline_saturation,
+    baseline_wait_tail,
     monte_carlo_reveal,
     pr_reveal,
     pr_reveal_after_n,
@@ -171,6 +172,48 @@ class TestBaselineSaturation:
             baseline_saturation(0.0, 10.0)
         with pytest.raises(ValueError):
             baseline_saturation(0.005, -1.0)
+
+
+def wait_tail_exact(n: int, d: Fraction, x: int) -> Fraction:
+    """The nD/D/1 tail in rational arithmetic, term by term."""
+    return sum(
+        comb(n, k) * ((k - x) / d) ** k * (1 - (k - x) / d) ** (n - k) * (d - n + x) / (d - k + x)
+        for k in range(x + 1, n + 1)
+    )
+
+
+class TestBaselineWaitTail:
+    @pytest.mark.parametrize("senders", [1, 5, 13, 19])
+    def test_zero_at_and_past_the_sender_count(self, senders):
+        for x in (senders, senders + 0.5, senders + 7):
+            assert baseline_wait_tail(senders, 0.1, 0.005, x) == 0.0
+
+    @pytest.mark.parametrize("senders,period,tau", [(1, 0.1, 0.005), (13, 0.1, 0.005),
+                                                    (19, 0.1, 0.005), (40, 1.0, 0.02)])
+    def test_load_at_zero(self, senders, period, tau):
+        assert baseline_wait_tail(senders, period, tau, 0) == pytest.approx(
+            senders * tau / period, rel=1e-12
+        )
+
+    def test_one_other_sender_is_a_uniform_phase(self):
+        for x in (0.0, 0.25, 0.5, 0.9):
+            assert baseline_wait_tail(1, 0.1, 0.005, x) == pytest.approx((1 - x) / 20, rel=1e-12)
+
+    @pytest.mark.parametrize("senders", [2, 13, 19])
+    def test_matches_rational_arithmetic(self, senders):
+        d = Fraction(20)
+        for x in range(senders):
+            exact = float(wait_tail_exact(senders, d, x))
+            assert baseline_wait_tail(senders, 0.1, 0.005, x) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(20, 0.1, 0.005, 0), (21, 0.1, 0.005, 0), (-1, 0.1, 0.005, 0), (5, 0.0, 0.005, 0),
+         (5, 0.1, 0.0, 0), (5, 0.1, math.nan, 0), (5, 0.1, 0.005, -0.5), (5, 0.1, 0.005, math.inf)],
+    )
+    def test_refuses_unstable_or_invalid_input(self, args):
+        with pytest.raises(ValueError):
+            baseline_wait_tail(*args)
 
 
 class TestMonteCarloReveal:

@@ -493,8 +493,11 @@ class TestAnalyzeCommand:
             raise AssertionError("computed before the arguments were checked")
 
         monkeypatch.setattr("coopverif.cli.pr_reveal", must_not_run)
-        args = ["analyze", "--alpha", "5", "--pr-check", "0.1", "--neighbors", "15",
-                "--votes", "5", "--out", str(tmp_path), *bad]
+        options = {"--alpha": "5", "--pr-check": "0.1", "--neighbors": "15", "--votes": "5",
+                   "--out": str(tmp_path)}
+        option, value = bad
+        options[option] = value  # each option once: a repeated one is refused by the parser
+        args = ["analyze", *(arg for pair in options.items() for arg in pair)]
         assert main(args) == 2
         assert not (tmp_path / "analysis.csv").exists()
 
@@ -524,6 +527,54 @@ class TestWorkers:
         assert main(["sweep", "--param", "N", "--values", "3,4", "--out", str(tmp_path / "sweep"),
                      "--runs", "1", *SMALL]) == 2
         assert not (tmp_path / "run").exists() and not (tmp_path / "sweep").exists()
+
+
+ANALYZE = ["analyze", "--alpha", "5", "--pr-check", "0.1", "--neighbors", "15", "--votes", "5",
+           "--trials", "1000"]
+# Two values for every single-valued option of each subcommand.
+SINGLE_VALUED = {
+    "run": {"--config": ("a.ini", "b.ini"), "--out": ("A", "B"), "--runs": ("1", "2"),
+            "--seed": ("1", "2")},
+    "analyze": {"--alpha": ("5", "6"), "--pr-check": ("0.1", "0.2"), "--neighbors": ("15", "16"),
+                "--votes": ("5", "4"), "--n-messages": ("1", "2"), "--tau": ("0.005", "0.006"),
+                "--gamma": ("10", "20"), "--trials": ("1000", "2000"), "--seed": ("1", "2"),
+                "--out": ("A", "B")},
+}
+SINGLE_VALUED["sweep"] = {**SINGLE_VALUED["run"], "--param": ("N", "tau"),
+                           "--values": ("3,4", "5")}
+
+
+class TestRepeatedOptions:
+    @staticmethod
+    def _args(command, tmp_path):
+        if command == "analyze":
+            return [*ANALYZE, "--out", str(tmp_path / "out")]
+        sweep = ["--param", "N", "--values", "3,4"] if command == "sweep" else []
+        return [command, *sweep, "--out", str(tmp_path / "out"), "--runs", "1", *SMALL]
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [(command, option) for command, options in SINGLE_VALUED.items() for option in options],
+    )
+    def test_single_valued_option_given_twice_exits_2(self, command, option, tmp_path,
+                                                       monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran with an option given twice")
+
+        monkeypatch.setattr("coopverif.cli.load_config", must_not_run)
+        monkeypatch.setattr("coopverif.cli.pr_reveal", must_not_run)
+        monkeypatch.chdir(tmp_path)
+        base = self._args(command, tmp_path)
+        if option in base:  # give the option twice in all, not three times
+            at = base.index(option)
+            del base[at:at + 2]
+        first, second = SINGLE_VALUED[command][option]
+        for repeated in ([option, first, option, second], [f"{option}={first}", option, second]):
+            with pytest.raises(SystemExit) as stop:
+                main([*base, *repeated])
+            assert stop.value.code == 2
+            assert f"{option} given more than once" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 # Finite floats where ``%.9g`` output is easy to get wrong: signed zero,

@@ -145,7 +145,7 @@ class TestPopAndVerify:
         job = make_job(enqueue=0.2)
         node.receive(job)
         kernel._start_verification(node, 0.25)
-        (done,) = [e for e in kernel._heap if e[1] == VERIFICATION_COMPLETE]
+        (done,) = [e for e in kernel._completions if e[1] == VERIFICATION_COMPLETE]
         time, _, _, payload = done
         assert time == 0.25 + TAU
         assert payload == 0

@@ -16,8 +16,12 @@ from coopverif.cli import export_replication
 from coopverif.core import Digest80, NodeId, Role, VerificationJob, compute_digest
 from coopverif.engine import DispositionKind, NodeState, VerificationQueue
 from coopverif.metrics import MAX_NODE_ID, OUTCOMES, ROW, MetricsLedger
+from coopverif import sim
+from coopverif.analytic import baseline_wait_tail
 from coopverif.sim import (
     FRAME_DELIVERY,
+    RUN_END,
+    VERIFICATION_COMPLETE,
     AdversaryConfig,
     ConfigError,
     ConservationError,
@@ -433,6 +437,35 @@ class TestSchemes:
         assert all(b > a for a, b in zip(growth, growth[1:]))
         assert ledger.final_queue_len == pytest.approx(40 * 20, abs=60)
 
+    def test_node0_waits_follow_the_nd_d_1_tail(self):
+        """Baseline node 0 is an nD/D/1 queue: 14 periodic senders with
+        uniform phases and a deterministic ``tau``.  A frame waits on the
+        other 13, so its wait exceeds ``x * tau`` with chance ``Q_13(x)``.
+
+        Seeds, run length, window and tolerance were fixed before the test
+        was first run: seeds 1-200, 3 s runs, frames enqueued in [1, 2.9) s
+        (after the first second, and all of them popped before the end),
+        and 4 seed-level standard errors at x = 0..4.
+        """
+        n_nodes, tau, period, duration = 15, 0.005, 0.1, 3.0
+        xs = range(5)
+        accepted = OUTCOMES.index(DispositionKind.SIGNATURE_ACCEPTED)
+        fractions = []
+        for seed in range(1, 201):
+            cfg = ScenarioConfig(n_nodes=n_nodes, scheme="baseline", tau=tau, gamma=1 / period,
+                                 duration=duration, seed=seed)
+            waits = []
+            for _, code, _, enqueue, left, _ in ROW.iter_unpack(run_scenario(cfg).rows):
+                if 1.0 <= enqueue < 2.9:
+                    assert code == accepted
+                    waits.append(left - enqueue)
+            fractions.append([sum(w > x * tau for w in waits) / len(waits) for x in xs])
+        for x, column in zip(xs, zip(*fractions)):
+            mean = sum(column) / len(column)
+            stderr = stats.tstd(column) / math.sqrt(len(column))
+            expected = baseline_wait_tail(n_nodes - 2, period, tau, x)
+            assert abs(mean - expected) <= 4 * stderr, (x, mean, expected, stderr)
+
     def test_loss_reduces_receptions(self):
         clear = run_scenario(short_config(seed=9))
         lossy = run_scenario(short_config(seed=9, loss_prob=0.4))
@@ -545,11 +578,11 @@ class TestEventOrder:
             msg = make_message(seq=seq)
             node.receive(VerificationJob(msg, compute_digest(msg), 0.0))
         kernel._start_verification(node, 0.25)
-        (completion,) = [e for e in heap if e[3] == 0]
+        (completion,) = [e for e in kernel._completions if e[3] == 0]
         assert completion[0] == end
         kernel._handle_generation(2, 0.0)
         (delivery,) = {e[1] for e in heap if isinstance(e[3], tuple) and e[3]}
-        heap[:] = [e for e in heap if e[3] == () or e is completion]
+        heap[:] = [e for e in heap if e[3] == ()]  # the completion waits in the FIFO
         frame = make_message(seq=3)
         digest = compute_digest(frame)
         heappush(heap, (end, delivery, next(kernel._seq), ([0], VerificationJob(frame, digest, end))))
@@ -571,8 +604,72 @@ class TestEventOrder:
         node.receive, kernel._handle_completion = receiving, completing
         kernel.run()
         assert handled == [("generation", 1), ("delivery", 3), ("completion", 0, True)]
-        # Node 0's next completion and node 2's generation stay in the heap.
-        assert sorted(e[0] for e in heap) == [end + 0.001, end + tau]
+        # Node 0's next completion (in the FIFO) and node 2's generation (in
+        # the heap) are left over.
+        assert sorted(e[0] for e in [*heap, *kernel._completions]) == [end + 0.001, end + tau]
+
+
+class TestCompletionFifo:
+    """Verification completions run from the kernel's FIFO, merged with the
+    heap in ``(time, kind, seq)`` order."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            short_config(n_nodes=6, adversary=AdversaryConfig(), record_all_nodes=True, seed=3),
+            short_config(n_nodes=8, scheme="baseline", tau=0.02, seed=4),
+        ],
+        ids=["cooperative", "baseline"],
+    )
+    def test_no_completion_is_pushed_on_the_heap(self, cfg, monkeypatch):
+        plain = run_scenario(cfg)
+        pushed = []
+        push = sim.heappush
+
+        def recording(heap, entry):
+            pushed.append(entry[1])
+            push(heap, entry)
+
+        monkeypatch.setattr(sim, "heappush", recording)
+        kernel = SimulationKernel(cfg)
+        ledger = kernel.run()
+        assert VERIFICATION_COMPLETE not in pushed
+        assert pushed.count(RUN_END) == 1 and FRAME_DELIVERY in pushed
+        assert all(e[1] != VERIFICATION_COMPLETE for e in kernel._heap)
+        assert sum(ledger.verifications_completed.values()) > 0
+        assert ledger == plain
+
+    def test_completions_at_one_instant_run_in_push_order(self):
+        kernel = SimulationKernel(ScenarioConfig(n_nodes=3, duration=1.0, seed=2))
+        kernel._heap[:] = []
+        for nid in (2, 0, 1):
+            msg = make_message(seq=nid)
+            kernel.nodes[nid].receive(VerificationJob(msg, compute_digest(msg), 0.5))
+            kernel._start_verification(kernel.nodes[nid], 0.5)
+        assert len({e[0] for e in kernel._completions}) == 1
+        handled = []
+        complete = kernel._handle_completion
+
+        def completing(node_id, now):
+            handled.append(node_id)
+            complete(node_id, now)
+
+        kernel._handle_completion = completing
+        kernel._run_events()
+        assert handled == [2, 0, 1]
+
+    def test_completions_run_after_the_heap_empties(self):
+        kernel = SimulationKernel(ScenarioConfig(n_nodes=2, duration=1.0, seed=2))
+        node = kernel.nodes[0]
+        for seq in (1, 2, 3):
+            msg = make_message(seq=seq)
+            node.receive(VerificationJob(msg, compute_digest(msg), 0.5))
+        kernel._start_verification(node, 0.5)
+        kernel._heap[:] = []
+        kernel._run_events()
+        assert node.verifications_completed == 3
+        assert len(node.queue) == 0 and node.in_flight is None
+        assert not kernel._completions and not kernel._heap
 
 
 class TestRunOnce:
