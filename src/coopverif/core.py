@@ -1,8 +1,10 @@
 """Core message types, canonical byte encoding, and the 80-bit digest.
 
-Every other module builds on these: beacons (CAMs) carry up to ``alpha``
-80-bit digests of messages the sender has already signature-verified, and
-each received beacon becomes a verification job in the receiver's queue.
+Every other module builds on these.  A beacon is one :class:`Cam`: the
+sender's state, up to ``alpha`` digests of messages the sender has already
+signature-verified, and the ground-truth validity of its signature.  A
+digest is one :class:`Digest80`, its own 10 bytes.  Each delivered beacon
+becomes one :class:`VerificationJob`, queued by all its receivers.
 
 The byte layout of the canonical encoding is documented in
 ``docs/message_encoding.md``; digests and frame airtimes are both defined
@@ -44,68 +46,60 @@ class NodeId:
             raise ValueError(f"node id must be non-negative, got {self.id}")
 
 
-@dataclass(frozen=True, slots=True)
-class Digest80:
-    """Opaque 80-bit message identifier; equality is bitwise."""
+class Digest80(bytes):
+    """Opaque 80-bit message identifier: its own 10 bytes, equal and hashed as them."""
 
-    value: bytes
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.value) != DIGEST_BYTES:
-            raise ValueError(
-                f"digest must be exactly {DIGEST_BYTES} bytes, got {len(self.value)}"
-            )
+    def __new__(cls, value: bytes) -> Digest80:
+        if len(value) != DIGEST_BYTES:
+            raise ValueError(f"digest must be exactly {DIGEST_BYTES} bytes, got {len(value)}")
+        return super().__new__(cls, value)
 
-    def hex(self) -> str:
-        return self.value.hex()
+    @property
+    def value(self) -> Digest80:
+        # Only perfbench/checks.py reads this; it goes with ROADMAP items 5 and 6.
+        return self
 
 
 @dataclass(frozen=True, slots=True)
 class Cam:
-    """Beacon payload: sender state plus digests claimed as verified.
+    """A signed beacon: sender state plus digests claimed as verified.
 
     ``claimed_digests`` lists the sender's latest signature-verified
     messages (newest generation timestamp first); length is bounded by the
-    scenario's ``alpha``.
+    scenario's ``alpha``.  The beacon is signed by its sender.  Real
+    cryptography is out of scope; verification cost is modelled by the
+    scenario's per-message delay, and ``valid`` is a ground-truth flag
+    (benign senders always sign validly, bogus messages never verify).
     """
 
     sender: NodeId
     gen_timestamp: float
     position: Tuple[float, float]
     seq: int
-    claimed_digests: Tuple[Digest80, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class SignedCam:
-    """A beacon signed by its sender, ``cam.sender``.
-
-    Real cryptography is out of scope; verification cost is modelled by the
-    scenario's per-message delay, and ``valid`` is a ground-truth flag
-    (benign senders always sign validly, bogus messages never verify).
-    """
-
-    cam: Cam
+    claimed_digests: Tuple[Digest80, ...]
     valid: bool
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class VerificationJob:
-    """Work item for one delivered frame, shared by all its receivers.
+    """Work item for one delivered beacon, shared by all its receivers.
 
-    The kernel builds one job per frame, enqueued at the delivery instant,
-    and every receiver queues that same object; nothing changes it after.
-    Whether a receiver spot-checks it is that receiver's own fact, kept in
-    its queue (``VerificationQueue.checked``).  Identity (not value)
-    equality: each delivered frame is its own job.
+    The kernel builds one job per frame: the beacon, its digest and the
+    delivery instant it was enqueued at.  Every receiver queues that same
+    object; nothing changes it after.  Whether a receiver spot-checks it is
+    that receiver's own fact, kept in its queue
+    (``VerificationQueue.checked``).  Identity (not value) equality: each
+    delivered frame is its own job.
     """
 
-    message: SignedCam
+    cam: Cam
     digest: Digest80
     enqueue_time: float
 
 
-def encode_signed_cam(message: SignedCam) -> bytes:
+def encode_signed_cam(cam: Cam) -> bytes:
     """Serialize a signed beacon to its canonical on-air byte string.
 
     Fixed-width big-endian fields followed by the claimed digests in list
@@ -113,7 +107,6 @@ def encode_signed_cam(message: SignedCam) -> bytes:
     ``300 + 10 * len(claimed_digests)`` bytes.  The encoding is injective:
     every field sits at a fixed offset and the digest count is explicit.
     """
-    cam = message.cam
     head = _HEADER.pack(
         cam.sender.id,
         cam.sender.role.value,
@@ -122,15 +115,12 @@ def encode_signed_cam(message: SignedCam) -> bytes:
         cam.position[1],
         cam.seq,
         cam.sender.id,  # signer: a beacon is signed by its sender
-        1 if message.valid else 0,
+        1 if cam.valid else 0,
         len(cam.claimed_digests),
     )
-    parts = [head]
-    parts.extend(d.value for d in cam.claimed_digests)
-    parts.append(_PAD)
-    return b"".join(parts)
+    return b"".join((head, *cam.claimed_digests, _PAD))
 
 
-def compute_digest(message: SignedCam) -> Digest80:
+def compute_digest(cam: Cam) -> Digest80:
     """First 80 bits of SHA-256 over the canonical encoding."""
-    return Digest80(hashlib.sha256(encode_signed_cam(message)).digest()[:DIGEST_BYTES])
+    return Digest80(hashlib.sha256(encode_signed_cam(cam)).digest()[:DIGEST_BYTES])

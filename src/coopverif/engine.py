@@ -28,7 +28,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
-from .core import Cam, Digest80, NodeId, SignedCam, VerificationJob
+from .core import Cam, Digest80, NodeId, VerificationJob
 
 
 class DispositionKind(Enum):
@@ -89,8 +89,8 @@ class QueueInvariantError(AssertionError):
 class VerificationQueue:
     """Pending jobs, spot-checked prefix first, with a digest index.
 
-    ``index`` maps each queued job's digest bytes to the job; claim scans
-    read it directly, on the simulator's hottest path.  ``checked`` maps
+    ``index`` maps each queued job's digest to the job; claim scans read
+    it directly, on the simulator's hottest path.  ``checked`` maps
     each job flagged for a spot check to the ``(claimant, claim digest)``
     that flagged it; those jobs are ``jobs[:len(checked)]``, in order.
     """
@@ -99,8 +99,8 @@ class VerificationQueue:
 
     def __init__(self) -> None:
         self.jobs: List[VerificationJob] = []
-        self.index: dict[bytes, VerificationJob] = {}
-        self.checked: dict[bytes, Tuple[NodeId, Digest80]] = {}
+        self.index: dict[Digest80, VerificationJob] = {}
+        self.checked: dict[Digest80, Tuple[NodeId, Digest80]] = {}
         self.duplicates_dropped = 0
 
     def __len__(self) -> int:
@@ -113,32 +113,32 @@ class VerificationQueue:
         prefix through the tail are equally likely.  Returns False (and
         counts a duplicate) if the digest is already queued.
         """
-        key = job.digest.value
-        if key in self.index:
+        digest = job.digest
+        if digest in self.index:
             self.duplicates_dropped += 1
             return False
         checked = len(self.checked)
         pos = checked + int(rng.random() * (len(self.jobs) - checked + 1))
         self.jobs.insert(pos, job)
-        self.index[key] = job
+        self.index[digest] = job
         return True
 
     def append(self, job: VerificationJob) -> bool:
         """FCFS insertion at the tail (baseline discipline)."""
-        key = job.digest.value
-        if key in self.index:
+        digest = job.digest
+        if digest in self.index:
             self.duplicates_dropped += 1
             return False
         self.jobs.append(job)
-        self.index[key] = job
+        self.index[digest] = job
         return True
 
     def pop_head(self) -> Tuple[VerificationJob, Optional[Tuple[NodeId, Digest80]]]:
         """Remove the head job; returns it with its flag (None if unchecked)."""
         job = self.jobs.pop(0)
-        key = job.digest.value
-        del self.index[key]
-        return job, self.checked.pop(key, None)
+        digest = job.digest
+        del self.index[digest]
+        return job, self.checked.pop(digest, None)
 
     def promote(self, digest: Digest80, checked_by: Tuple[NodeId, Digest80]) -> VerificationJob:
         """Flag a queued job for a spot check and move it up.
@@ -147,22 +147,20 @@ class VerificationQueue:
         once) and the job is reinserted right after the last flagged job,
         so spot checks are served before ordinary arrivals.
         """
-        key = digest.value
-        job = self.index[key]
+        job = self.index[digest]
         checked = self.checked
-        if key in checked:
+        if digest in checked:
             raise QueueInvariantError("promote() on an already-checked job")
         jobs = self.jobs
         jobs.pop(jobs.index(job, len(checked)))
         jobs.insert(len(checked), job)
-        checked[key] = checked_by
+        checked[digest] = checked_by
         return job
 
     def remove(self, digest: Digest80) -> VerificationJob:
         """Remove a queued job (cooperative acceptance path)."""
-        key = digest.value
-        job = self.index.pop(key)
-        flagged = self.checked.pop(key, None) is not None
+        job = self.index.pop(digest)
+        flagged = self.checked.pop(digest, None) is not None
         self.jobs.pop(self.jobs.index(job, 0 if flagged else len(self.checked)))
         return job
 
@@ -176,22 +174,22 @@ class VerificationQueue:
 
     def purge_sender(self, sender_id: int) -> List[VerificationJob]:
         """Drop every queued job from one sender (revocation cleanup)."""
-        purged = [j for j in self.jobs if j.message.cam.sender.id == sender_id]
+        purged = [j for j in self.jobs if j.cam.sender.id == sender_id]
         if purged:
-            self.jobs = [j for j in self.jobs if j.message.cam.sender.id != sender_id]
+            self.jobs = [j for j in self.jobs if j.cam.sender.id != sender_id]
             for job in purged:
-                del self.index[job.digest.value]
-                self.checked.pop(job.digest.value, None)
+                del self.index[job.digest]
+                self.checked.pop(job.digest, None)
         return purged
 
     def audit(self) -> None:
         """Assert the partition and index invariants; audit runs only."""
-        if [j.digest.value for j in self.jobs[: len(self.checked)]] != list(self.checked):
+        if [j.digest for j in self.jobs[: len(self.checked)]] != list(self.checked):
             raise QueueInvariantError(f"checked jobs not the queue prefix: {len(self.checked)} flags")
         if len(self.index) != len(self.jobs):
             raise QueueInvariantError("digest index size mismatch")
         for job in self.jobs:
-            if self.index.get(job.digest.value) is not job:
+            if self.index.get(job.digest) is not job:
                 raise QueueInvariantError("digest index points at a different job")
 
 
@@ -250,11 +248,11 @@ class VerifiedCache:
         self._pending = []
         merged.sort(key=itemgetter(0), reverse=True)  # stable: ties keep record order
         kept: List[Tuple[float, Digest80]] = []
-        seen: set[bytes] = set()
+        seen: set[Digest80] = set()
         for entry in merged:
-            key = entry[1].value
-            if key not in seen:
-                seen.add(key)
+            digest = entry[1]
+            if digest not in seen:
+                seen.add(digest)
                 kept.append(entry)
                 if len(kept) == self.capacity:
                     break
@@ -359,11 +357,11 @@ class NodeState:
         self.verifications_completed += 1
         if revoked:
             outcome = PURGED_REVOKED
-        elif job.message.valid:
+        elif job.cam.valid:
             outcome = SIGNATURE_ACCEPTED
             if self.audit and job.digest in self._coop_accepted:
                 raise QueueInvariantError("cooperatively accepted digest re-verified")
-            self.cache.record(job.digest, job.message.cam.gen_timestamp)
+            self.cache.record(job.digest, job.cam.gen_timestamp)
         else:
             outcome = REJECTED_INVALID
             if self.blacklist_rejected:
@@ -372,18 +370,20 @@ class NodeState:
 
     # -- cooperative acceptance --------------------------------------------
 
-    def apply_claims(self, accepted: SignedCam, claim_digest: Digest80) -> ClaimApplication:
-        """Scan an accepted message's claimed digests over the queue.
+    def apply_claims(self, accepted: VerificationJob) -> ClaimApplication:
+        """Scan an accepted job's claimed digests over the queue.
 
-        For each claimed digest, in list order: a queued unchecked job is
-        either flagged for a spot check (probability ``pr_check``, recording
-        the claimant for later attribution) or accepted cooperatively and
-        removed, its waiting ending at the caller's current time.  Digests
-        that are absent or already flagged are ignored.  The node's
-        ``claims_matched`` grows by the returned ``matched``, and its
-        ``spot_checks_set`` by the matches that drew the check branch.
+        The claimant is the job's sender and the claim digest the job's
+        digest.  For each claimed digest, in list order: a queued unchecked
+        job is either flagged for a spot check (probability ``pr_check``,
+        recording the claimant for later attribution) or accepted
+        cooperatively and removed, its waiting ending at the caller's
+        current time.  Digests that are absent or already flagged are
+        ignored.  The node's ``claims_matched`` grows by the returned
+        ``matched``, and its ``spot_checks_set`` by the matches that drew
+        the check branch.
         """
-        claimant = accepted.cam.sender
+        claimant, claim_digest = accepted.cam.sender, accepted.digest
         queue = self.queue
         queued = queue.index.get
         checked = queue.checked
@@ -391,9 +391,9 @@ class NodeState:
         blacklist_hits: List[Tuple[NodeId, Digest80, Digest80]] = []
         matched = 0
         for claimed in accepted.cam.claimed_digests:
-            job = queued(claimed.value)
+            job = queued(claimed)
             if job is not None:
-                if claimed.value in checked:
+                if claimed in checked:
                     continue
                 matched += 1
                 if self.rng.random() < self.pr_check:
@@ -413,7 +413,7 @@ class NodeState:
 
     # -- beacon generation ---------------------------------------------------
 
-    def build_own_cam(self, now: float) -> SignedCam:
+    def build_own_cam(self, now: float) -> Cam:
         """Assemble this node's next beacon, claiming the cached digests.
 
         The cache holds at most ``alpha`` digests; whatever is present is
@@ -424,11 +424,11 @@ class NodeState:
 
     def sign(
         self, now: float, position: Tuple[float, float], claimed: Tuple[Digest80, ...], valid: bool
-    ) -> SignedCam:
+    ) -> Cam:
         """This node's next frame, signed by it: it takes the next ``seq``."""
-        cam = Cam(self.node_id, now, position, self.seq, claimed)
+        cam = Cam(self.node_id, now, position, self.seq, claimed, valid)
         self.seq += 1
-        return SignedCam(cam, valid)
+        return cam
 
     # -- revocation support --------------------------------------------------
 

@@ -56,7 +56,7 @@ def _decode(fields: tuple, senders: Dict[int, NodeId]) -> Tuple[int, Disposition
 class Records:
     """A ledger's kept rows as ``(node_id, Disposition)`` pairs, decoded on read.
 
-    Iteration, ``len`` and equality read the packed rows; ``pop()`` and
+    Iteration and ``len`` read the packed rows; ``pop()`` and
     ``append(row)`` edit them the way recording does, so the ledger's index
     of accepted rows stays in step.  A row's ``sender`` is the run's
     :class:`NodeId` for its id.
@@ -74,11 +74,6 @@ class Records:
         senders = self._ledger.senders
         for fields in ROW.iter_unpack(self._ledger.rows):
             yield _decode(fields, senders)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Records, list)):
-            return NotImplemented
-        return list(self) == list(other)
 
     def append(self, row: Tuple[int, Disposition]) -> None:
         node, d = row
@@ -153,10 +148,10 @@ class MetricsLedger:
         if counts is None:
             counts = self.outcome_counts[node_id] = Counter()
         counts[outcome] += 1
-        if outcome is COOPERATIVELY_ACCEPTED and not job.message.valid:
+        if outcome is COOPERATIVELY_ACCEPTED and not job.cam.valid:
             self.bogus_accepted[node_id] = self.bogus_accepted.get(node_id, 0) + 1
         if self.record_all or node_id == self.evaluated_node:
-            sender = job.message.cam.sender
+            sender = job.cam.sender
             self._keep(node_id, outcome, job.digest, sender, job.enqueue_time, left_at)
 
     def _keep(self, node_id: int, outcome: DispositionKind, digest: Digest80, sender: NodeId,
@@ -167,9 +162,7 @@ class MetricsLedger:
         sender_id = sender.id
         if sender_id not in self.senders:
             self.senders[sender_id] = sender
-        self.rows += ROW.pack(
-            node_id, _CODES[outcome], sender_id, enqueue_time, left_at, digest.value
-        )
+        self.rows += ROW.pack(node_id, _CODES[outcome], sender_id, enqueue_time, left_at, digest)
 
     # -- derived views ---------------------------------------------------------
 

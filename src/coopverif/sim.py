@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Deque, Iterator, List, Optional, Tuple
 
-from .core import MAX_CLAIMED, Digest80, NodeId, Role, SignedCam, VerificationJob, compute_digest, encode_signed_cam
+from .core import MAX_CLAIMED, Cam, Digest80, NodeId, Role, VerificationJob, compute_digest, encode_signed_cam
 from .engine import (
     COOPERATIVELY_ACCEPTED,
     REJECTED_INVALID,
@@ -168,7 +168,7 @@ def airtime(n_bytes: int, bitrate: float) -> float:
 
 
 def broadcast(
-    frame: SignedCam,
+    frame: Cam,
     now: float,
     config: ScenarioConfig,
     total_nodes: int,
@@ -182,7 +182,7 @@ def broadcast(
     receiver ids come back in ascending order; the caller counts the
     ``total_nodes - 1 - len(receivers)`` losses.
     """
-    sender_id = frame.cam.sender.id
+    sender_id = frame.sender.id
     encoded = encode_signed_cam(frame)
     digest = compute_digest(frame)
     deliver_at = now + airtime(len(encoded), config.bitrate)
@@ -289,14 +289,14 @@ class SimulationKernel:
         node = self.nodes[node_id]
         job, checked_by = node.in_flight, node.in_flight_flag
         ledger = self.ledger
-        revoked = job.message.cam.sender.id in self.registry.revoked
+        revoked = job.cam.sender.id in self.registry.revoked
         outcome = node.finish_verification(revoked=revoked)
         if node_id == 0:
             ledger.busy_time += self.config.tau
         ledger.record_disposition(node_id, outcome, job, node.popped_at)
         if outcome is SIGNATURE_ACCEPTED:
             if node.cooperative:
-                app = node.apply_claims(job.message, job.digest)
+                app = node.apply_claims(job)
                 for accepted in app.accepted_jobs:
                     ledger.record_disposition(node_id, COOPERATIVELY_ACCEPTED, accepted, now)
                 for claimant, claim_digest, bogus_digest in app.blacklist_hits:
@@ -384,7 +384,7 @@ class SimulationKernel:
                 handle_completion(payload, t)
             elif kind == delivery:
                 receivers, job = payload
-                if job.message.cam.sender.id in revoked:
+                if job.cam.sender.id in revoked:
                     dropped += len(receivers)
                     continue
                 # Nothing can pop between one frame's deliveries: whatever
@@ -397,9 +397,6 @@ class SimulationKernel:
                 self._handle_generation(payload, t)
             else:
                 break  # the run end
-        while next_sample <= last_second:
-            samples.append(len(node0_jobs))
-            next_sample += 1
         self.ledger.dropped_revoked_frames += dropped
 
     def _finalize(self) -> None:
@@ -423,12 +420,12 @@ class SimulationKernel:
                 # its sender was revoked), but no claims or reports fire past
                 # the end of the run.
                 popped = node.popped_at
-                outcome = node.finish_verification(revoked=job.message.cam.sender.id in revoked)
+                outcome = node.finish_verification(revoked=job.cam.sender.id in revoked)
                 ledger.record_disposition(nid, outcome, job, popped)
                 if nid == 0:
                     ledger.busy_time += max(0.0, min(popped + cfg.tau, cfg.duration) - popped)
             for job in node.queue.drain():
-                sender = job.message.cam.sender.id
+                sender = job.cam.sender.id
                 if sender in revoked:
                     raise ConservationError(
                         f"node {nid}: revoked sender {sender} still queued at the end"

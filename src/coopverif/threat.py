@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .core import Digest80, NodeId, SignedCam, VerificationJob, compute_digest
+from .core import Cam, Digest80, NodeId, VerificationJob, compute_digest
 from .engine import NodeState
 
 
@@ -99,7 +99,7 @@ def detect_false_claim(
     whose signature turned out invalid.  A bogus message popped in the
     ordinary course is rejected without one: it has no claimant.
     """
-    if job.message.valid or checked_by is None:
+    if job.cam.valid or checked_by is None:
         return None
     claimant, claim_digest = checked_by
     return MisbehaviorReport(
@@ -130,13 +130,13 @@ class AdversaryDriver:
     area_side: float
     _cycle_digests: List[Digest80] = field(default_factory=list)
 
-    def emit(self, now: float) -> SignedCam:
+    def emit(self, now: float) -> Cam:
         alpha = self.node.alpha
         if self.node.seq % (alpha + 1) < alpha:
             return self._emit_bogus(now)
         return self._emit_claim(now)
 
-    def _emit_bogus(self, now: float) -> SignedCam:
+    def _emit_bogus(self, now: float) -> Cam:
         """A well-formed beacon with arbitrary content and a bad signature."""
         rng = self.node.rng
         position = (rng.uniform(0.0, self.area_side), rng.uniform(0.0, self.area_side))
@@ -144,7 +144,7 @@ class AdversaryDriver:
         self._cycle_digests.append(compute_digest(message))
         return message
 
-    def _emit_claim(self, now: float) -> SignedCam:
+    def _emit_claim(self, now: float) -> Cam:
         k = self.config.bogus_per_claim
         alpha = self.node.alpha
         claimed: List[Digest80] = self._cycle_digests[alpha - k :] if k else []

@@ -1,8 +1,10 @@
 """Message types, canonical encoding, and digest tests."""
 
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
 import struct
 
@@ -16,7 +18,6 @@ from coopverif.core import (
     Digest80,
     NodeId,
     Role,
-    SignedCam,
     VerificationJob,
     compute_digest,
     encode_signed_cam,
@@ -36,17 +37,17 @@ def make_message(
     digests=(),
 ):
     sender = NodeId(sender_id, role)
-    cam = Cam(
+    return Cam(
         sender=sender,
         gen_timestamp=ts,
         position=pos,
         seq=seq,
         claimed_digests=tuple(digests),
+        valid=valid,
     )
-    return SignedCam(cam, valid)
 
 
-def random_message(rng: random.Random) -> SignedCam:
+def random_message(rng: random.Random) -> Cam:
     digests = tuple(
         Digest80(rng.getrandbits(80).to_bytes(10, "big")) for _ in range(rng.randint(0, 8))
     )
@@ -75,6 +76,23 @@ class TestDigest80:
         c = Digest80(bytes(range(1, 11)))
         assert a == b and hash(a) == hash(b)
         assert a != c
+
+    def test_is_its_own_bytes(self):
+        raw = bytes(range(10))
+        d = Digest80(raw)
+        assert isinstance(d, bytes) and d == raw and hash(d) == hash(raw)
+        assert {raw: 1}[d] == 1 and {d: 1}[raw] == 1
+
+    def test_value_is_the_digest_itself(self):
+        d = Digest80(b"\x07" * 10)
+        assert d.value is d
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_and_deepcopy_keep_an_equal_digest(self, protocol):
+        raw = bytes(range(5, 15))
+        d = Digest80(raw)
+        for copied in (pickle.loads(pickle.dumps(d, protocol)), copy.deepcopy(d)):
+            assert type(copied) is Digest80 and copied == d == raw
 
 
 class TestEncoding:
@@ -114,6 +132,13 @@ class TestEncoding:
                 assert seen[enc] == msg
             seen[enc] = msg
         assert len(seen) == 2000
+
+    def test_validity_is_the_beacons_last_field_and_byte_49(self):
+        fields = [f.name for f in dataclasses.fields(Cam)]
+        assert fields[-2:] == ["claimed_digests", "valid"]
+        for valid in (True, False):
+            cam = make_message(valid=valid)
+            assert encode_signed_cam(cam)[49] == cam.valid
 
     def test_field_offsets_match_documented_layout(self):
         msg = make_message(
@@ -186,12 +211,12 @@ class TestVerificationJob:
     def test_fresh_job_is_unchecked(self):
         """A job holds no spot-check state: its receivers' queues keep the flags."""
         msg = make_message()
-        job = VerificationJob(message=msg, digest=compute_digest(msg), enqueue_time=1.0)
-        assert [f.name for f in dataclasses.fields(job)] == ["message", "digest", "enqueue_time"]
+        job = VerificationJob(cam=msg, digest=compute_digest(msg), enqueue_time=1.0)
+        assert [f.name for f in dataclasses.fields(job)] == ["cam", "digest", "enqueue_time"]
 
     def test_identity_equality(self):
         msg = make_message()
         d = compute_digest(msg)
-        j1 = VerificationJob(message=msg, digest=d, enqueue_time=1.0)
-        j2 = VerificationJob(message=msg, digest=d, enqueue_time=1.0)
+        j1 = VerificationJob(cam=msg, digest=d, enqueue_time=1.0)
+        j2 = VerificationJob(cam=msg, digest=d, enqueue_time=1.0)
         assert j1 != j2 and j1 == j1

@@ -50,7 +50,7 @@ TAU = 0.005  # the kernel's default verification delay
 
 def make_job(sender_id=1, seq=0, valid=True, ts=0.0, enqueue=0.0):
     msg = make_message(sender_id=sender_id, seq=seq, valid=valid, ts=ts)
-    return VerificationJob(message=msg, digest=compute_digest(msg), enqueue_time=enqueue)
+    return VerificationJob(cam=msg, digest=compute_digest(msg), enqueue_time=enqueue)
 
 
 def ledger_row(outcome, job, left_at) -> Disposition:
@@ -72,7 +72,7 @@ class TestRandomInsertion:
         q = VerificationQueue()
         rng = random.Random(1)
         job = make_job(seq=1)
-        twin = VerificationJob(message=job.message, digest=job.digest, enqueue_time=2.0)
+        twin = VerificationJob(cam=job.cam, digest=job.digest, enqueue_time=2.0)
         assert q.insert_random(job, rng)
         assert not q.insert_random(twin, rng)
         assert q.duplicates_dropped == 1
@@ -134,7 +134,7 @@ class TestPopAndVerify:
         assert node.in_flight is None
         assert outcome is DispositionKind.SIGNATURE_ACCEPTED
         disp = ledger_row(outcome, popped, node.popped_at)
-        assert popped.message.valid
+        assert popped.cam.valid
         assert job.digest.value == disp.digest.value
         assert disp.waiting_time == pytest.approx(0.25)
         assert node.cache.digests() == (disp.digest,)
@@ -162,7 +162,7 @@ class TestPopAndVerify:
             outcome = node.finish_verification(revoked=True)
             assert outcome is DispositionKind.PURGED_REVOKED
             disp = ledger_row(outcome, popped, node.popped_at)
-            assert disp.leave_queue_time == 0.5 and popped.message.valid is valid
+            assert disp.leave_queue_time == 0.5 and popped.cam.valid is valid
         assert len(node.cache) == 0 and not node.rejected_digests
         assert node.verifications_completed == 2
 
@@ -214,7 +214,7 @@ class TestApplyClaims:
         job = make_job(valid=True, enqueue=1.0)
         node.receive(job)
         claim = self._claim_for([job])
-        app = node.apply_claims(claim, compute_digest(claim))
+        app = node.apply_claims(VerificationJob(claim, compute_digest(claim), 0.0))
         assert app.matched == 1 and node.spot_checks_set == 0
         assert len(node.queue) == 0
         (accepted,) = app.accepted_jobs
@@ -229,7 +229,7 @@ class TestApplyClaims:
         assert node.receive(job)
         claim = self._claim_for([job])
         claim_digest = compute_digest(claim)
-        app = node.apply_claims(claim, claim_digest)
+        app = node.apply_claims(VerificationJob(claim, claim_digest, 0.0))
         assert app.matched == 1 and node.spot_checks_set == 1
         assert not app.accepted_jobs
         assert node.queue.checked[job.digest.value] == (NodeId(9), claim_digest)
@@ -241,7 +241,7 @@ class TestApplyClaims:
         node = make_node(pr_check=1.0)
         ghost = make_job(seq=77)
         claim = self._claim_for([ghost])
-        app = node.apply_claims(claim, compute_digest(claim))
+        app = node.apply_claims(VerificationJob(claim, compute_digest(claim), 0.0))
         assert app.matched == 0 and node.spot_checks_set == 0
         assert not app.accepted_jobs
 
@@ -258,11 +258,11 @@ class TestApplyClaims:
         job = make_job(seq=5)
         node.receive(job)
         claim = self._claim_for([job])
-        node.apply_claims(claim, compute_digest(claim))
+        node.apply_claims(VerificationJob(claim, compute_digest(claim), 0.0))
         assert node.queue.checked[job.digest.value] == (NodeId(9), compute_digest(claim))
         calls_after_first = CountingRandom.calls
         second = self._claim_for([job], claimant_id=8, ts=11.0)
-        app = node.apply_claims(second, compute_digest(second))
+        app = node.apply_claims(VerificationJob(second, compute_digest(second), 0.0))
         assert app.matched == 0
         assert CountingRandom.calls == calls_after_first  # no draw once checked
         assert node.queue.checked[job.digest.value][0] == NodeId(9)  # first claimant retained
@@ -273,7 +273,7 @@ class TestApplyClaims:
         for j in jobs:
             node.receive(j)
         claim = self._claim_for(jobs)
-        app = node.apply_claims(claim, compute_digest(claim))
+        app = node.apply_claims(VerificationJob(claim, compute_digest(claim), 0.0))
         assert [j.digest for j in app.accepted_jobs] == [j.digest for j in jobs]
 
     def test_spot_check_fraction_tracks_pr_check(self):
@@ -288,7 +288,7 @@ class TestApplyClaims:
             node.receive(job)
             claim = self._claim_for([job], ts=float(i + 1))
             before = node.spot_checks_set
-            node.apply_claims(claim, compute_digest(claim))
+            node.apply_claims(VerificationJob(claim, compute_digest(claim), 0.0))
             checked += node.spot_checks_set - before
             if job.digest.value in node.queue.checked:
                 node.pop_and_verify(2.0)
@@ -423,7 +423,7 @@ class TestBuildOwnCam:
     def test_cold_start_claims_nothing(self):
         node = make_node()
         msg = node.build_own_cam(now=0.05)
-        assert msg.cam.claimed_digests == ()
+        assert msg.claimed_digests == ()
         assert msg.valid
         from coopverif.core import encode_signed_cam
 
@@ -434,7 +434,7 @@ class TestBuildOwnCam:
         for i in range(3):
             node.cache.record(Digest80(bytes([i]) * 10), float(i))
         msg = node.build_own_cam(now=1.0)
-        assert len(msg.cam.claimed_digests) == 3
+        assert len(msg.claimed_digests) == 3
 
     def test_full_cache_makes_350_byte_frame(self):
         from coopverif.core import encode_signed_cam
@@ -449,8 +449,8 @@ class TestBuildOwnCam:
         node = make_node()
         first = node.build_own_cam(now=0.1)
         second = node.build_own_cam(now=0.2)
-        assert second.cam.seq == first.cam.seq + 1
-        assert second.cam.gen_timestamp > first.cam.gen_timestamp
+        assert second.seq == first.seq + 1
+        assert second.gen_timestamp > first.gen_timestamp
 
 
 class TestQueueInvariants:
@@ -485,7 +485,7 @@ class TestQueueInvariants:
                     )
                     seq += 1
                     node.pr_check = 0.0 if op == "claim_zero" else 1.0
-                    app = node.apply_claims(claim, compute_digest(claim))
+                    app = node.apply_claims(VerificationJob(claim, compute_digest(claim), 0.0))
                     if app.accepted_jobs:
                         live.remove(target)
                 elif op == "purge":
@@ -500,7 +500,7 @@ class TestQueueInvariants:
         job = make_job()
         node.receive(job)
         claim = make_message(sender_id=9, ts=1.0, digests=[job.digest])
-        node.apply_claims(claim, compute_digest(claim))
+        node.apply_claims(VerificationJob(claim, compute_digest(claim), 0.0))
         assert job.digest.value in node.queue.checked
         with pytest.raises(QueueInvariantError):
             node.queue.promote(job.digest, (NodeId(8), job.digest))
@@ -510,10 +510,10 @@ class TestQueueInvariants:
         job = make_job()
         node.receive(job)
         claim = make_message(sender_id=9, ts=1.0, digests=[job.digest])
-        node.apply_claims(claim, compute_digest(claim))
+        node.apply_claims(VerificationJob(claim, compute_digest(claim), 0.0))
         # the same digest showing up for signature verification again would
         # mean a duplicate slipped in; the audit must catch it
-        twin = VerificationJob(message=job.message, digest=job.digest, enqueue_time=2.0)
+        twin = VerificationJob(cam=job.cam, digest=job.digest, enqueue_time=2.0)
         node.queue.append(twin)
         node.pop_and_verify(3.0)
         with pytest.raises(QueueInvariantError):
@@ -596,8 +596,8 @@ class QueueModel(RuleBasedStateMachine):
 
     @rule(sender=st.integers(1, 3))
     def purge_sender(self, sender):
-        purged = [job for job, _ in self.model if job.message.cam.sender.id == sender]
-        self.model = [e for e in self.model if e[0].message.cam.sender.id != sender]
+        purged = [job for job, _ in self.model if job.cam.sender.id == sender]
+        self.model = [e for e in self.model if e[0].cam.sender.id != sender]
         got = self.queue.purge_sender(sender)
         assert len(got) == len(purged) and all(a is b for a, b in zip(got, purged))
 

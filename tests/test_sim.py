@@ -163,7 +163,7 @@ class TestFanOut:
         assert 0 < len(receivers) < 11 and 3 not in receivers
         assert receivers == sorted(receivers)
         assert len(receivers) + kernel.ledger.lost_frames == 12 - 1
-        assert job.digest == compute_digest(job.message)
+        assert job.digest == compute_digest(job.cam)
         assert job.enqueue_time == deliver_at
 
     def test_receivers_share_one_frozen_job(self):
@@ -223,7 +223,7 @@ class TestDeterminism:
         a = run_scenario(cfg)
         b = run_scenario(cfg)
         assert a.summarize(0) == b.summarize(0)
-        assert a.records == b.records
+        assert list(a.records) == list(b.records)
         assert a.queue_len_samples == b.queue_len_samples
         assert a.reports == b.reports
         assert a.revocations == b.revocations
@@ -339,7 +339,7 @@ class TestLazyRecords:
         assert lean.outcome_counts == full.outcome_counts
         assert lean.bogus_accepted == full.bogus_accepted
         assert lean.receptions == full.receptions
-        assert lean.records == [row for row in full.records if row[0] == 0]
+        assert list(lean.records) == [row for row in full.records if row[0] == 0]
         assert {nid for nid, _ in lean.records} == {0}
         assert len(full.records) == sum(full.receptions.values())
 
@@ -369,12 +369,12 @@ class TestLazyRecords:
         for row in tail:
             ledger.records.append(row)
         assert ledger.waiting_samples == samples
-        assert ledger.records == rows
+        assert list(ledger.records) == rows
 
     def test_negative_waiting_raises_for_a_node_without_rows(self):
         ledger = MetricsLedger(seed=0, scheme="cooperative", duration=1.0)
         msg = make_message(sender_id=1)
-        job = VerificationJob(message=msg, digest=compute_digest(msg), enqueue_time=0.5)
+        job = VerificationJob(cam=msg, digest=compute_digest(msg), enqueue_time=0.5)
         with pytest.raises(ValueError, match="negative waiting"):
             ledger.record_disposition(3, DispositionKind.SIGNATURE_ACCEPTED, job, 0.25)
         assert not ledger.outcome_counts and not ledger.records
@@ -385,8 +385,8 @@ class TestClaimCounters:
         apply_claims, promote = NodeState.apply_claims, VerificationQueue.promote
         matched, spot_checked = {}, {}
 
-        def summing(node, accepted, claim_digest):
-            app = apply_claims(node, accepted, claim_digest)
+        def summing(node, accepted):
+            app = apply_claims(node, accepted)
             nid = node.node_id.id
             matched[nid] = matched.get(nid, 0) + app.matched
             return app
@@ -409,6 +409,21 @@ class TestClaimCounters:
             assert ledger.claims_matched[nid] == matched.get(nid, 0), f"node {nid}"
             assert ledger.spot_checks_set[nid] == spot_checked.get(nid, 0), f"node {nid}"
         assert ledger.summarize(0)["claims_matched"] == matched[0]
+
+    def test_kernel_hands_apply_claims_the_accepted_job(self, monkeypatch):
+        apply_claims = NodeState.apply_claims
+        given = []
+
+        def recording(node, accepted):
+            given.append((node.node_id, accepted))
+            return apply_claims(node, accepted)
+
+        monkeypatch.setattr(NodeState, "apply_claims", recording)
+        run_scenario(short_config(n_nodes=6, duration=2.0, seed=3, adversary=AdversaryConfig()))
+        assert given and any(job.cam.claimed_digests for _, job in given)
+        for node_id, job in given:
+            assert isinstance(job, VerificationJob) and job.cam.valid
+            assert job.digest == compute_digest(job.cam) and job.cam.sender != node_id
 
 
 class TestSchemes:
@@ -546,7 +561,7 @@ class TestRunEnd:
         kernel._run_events()
         node = kernel.nodes[1]
         job = node.in_flight
-        assert job.message.valid and job.message.cam.sender.id == 12
+        assert job.cam.valid and job.cam.sender.id == 12
         assert node.popped_at <= kernel.ledger.revocations[0][1] < cfg.duration < node.popped_at + cfg.tau
         kernel._finalize()
         ledger = kernel.ledger
@@ -594,7 +609,7 @@ class TestEventOrder:
         receive, complete = node.receive, kernel._handle_completion
 
         def receiving(job):
-            handled.append(("delivery", job.message.cam.seq))
+            handled.append(("delivery", job.cam.seq))
             return receive(job)
 
         def completing(node_id, now):

@@ -43,7 +43,7 @@ class TestAdversaryEmission:
         validity = [m.valid for m in emissions]
         assert validity == [False] * 5 + [True] + [False] * 5 + [True]
         claim = emissions[5]
-        assert [d.value for d in claim.cam.claimed_digests] == [
+        assert [d.value for d in claim.claimed_digests] == [
             compute_digest(m).value for m in emissions[:5]
         ]
 
@@ -92,7 +92,7 @@ class TestAdversaryEmission:
         emissions = [driver.emit(i / 10.0) for i in range(6)]
         claim = emissions[5]
         bogus_digests = {compute_digest(m).value for m in emissions[:5]}
-        claimed = [d.value for d in claim.cam.claimed_digests]
+        claimed = [d.value for d in claim.claimed_digests]
         assert len(claimed) == 5
         assert sum(1 for d in claimed if d in bogus_digests) == 2
         # padded from the verified cache
@@ -102,21 +102,21 @@ class TestAdversaryEmission:
     def test_reduced_claim_with_empty_cache_sends_fewer(self):
         driver = make_driver(k=2, alpha=5)
         emissions = [driver.emit(i / 10.0) for i in range(6)]
-        assert len(emissions[5].cam.claimed_digests) == 2
+        assert len(emissions[5].claimed_digests) == 2
 
     def test_k_zero_claims_nothing_bogus(self):
         driver = make_driver(k=0, alpha=5)
         emissions = [driver.emit(i / 10.0) for i in range(6)]
         bogus_digests = {compute_digest(m).value for m in emissions[:5]}
-        claimed = {d.value for d in emissions[5].cam.claimed_digests}
+        claimed = {d.value for d in emissions[5].claimed_digests}
         assert not claimed & bogus_digests
 
     def test_bogus_messages_are_well_formed(self):
         driver = make_driver()
         msg = driver.emit(0.0)
         assert not msg.valid
-        assert 0.0 <= msg.cam.position[0] <= 200.0
-        assert msg.cam.sender.role is Role.ADVERSARY
+        assert 0.0 <= msg.position[0] <= 200.0
+        assert msg.sender.role is Role.ADVERSARY
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -133,7 +133,7 @@ class TestDetectFalseClaim:
         node.receive(job)
         if with_claimant:
             claim = make_message(sender_id=7, ts=1.0, seq=2, digests=[job.digest])
-            node.apply_claims(claim, compute_digest(claim))
+            node.apply_claims(VerificationJob(claim, compute_digest(claim), 0.0))
         popped = node.pop_and_verify(1.5)
         flag = node.in_flight_flag
         return node, popped, flag, node.finish_verification()
@@ -238,7 +238,7 @@ class TestForcedReceptionRevealRate:
             )
             for job in jobs:
                 node.receive(job)  # every node queues the same jobs
-            node.apply_claims(claim, claim_digest)
+            node.apply_claims(VerificationJob(claim, claim_digest, 0.0))
             now = 1.0
             while node.queue.checked:  # the head is flagged
                 now += TAU
