@@ -33,6 +33,31 @@ it returns.
 Two verification schemes are wired in: ``cooperative`` (random queue
 insertion, claim scanning, probabilistic spot checks) and ``baseline``
 (verify every message first-come-first-served, no claims).
+
+A baseline run queues node 0 alone, unless ``record_all_nodes`` puts every
+node on the full queue path.  Every other node is a *counted* node: no
+output reads its queue, so each delivery advances it by the FCFS (Lindley)
+recursion ``start = max(t, free_at)``; a frame whose ``start`` falls
+within the run is verified (``free_at = start + tau``), any other is left
+unprocessed at the end.  A counted node queues no job, puts no completion
+on the FIFO and records no disposition; the run end writes its counts into
+the ledger and checks them like any node's.  The counts equal the full
+path's, for these reasons:
+
+- a delivery runs before a completion at the same instant, and
+  completions at ``duration`` run before the run end, so the full path
+  pops a job at ``s`` exactly when ``s <= duration``;
+- ``start + tau`` is the float the FIFO entry would hold (``now + tau``);
+- ``append`` draws no RNG, so skipping it moves no random stream;
+- a baseline cache has capacity 0, so nothing a node verifies reaches
+  another node's frames;
+- baseline runs never revoke: reports need a spot-check flag or a
+  blacklist hit, and only ``apply_claims`` makes those, so no counted job
+  is ever purged (the run end raises :class:`ConservationError` if one
+  was revoked anyway);
+- a counted node keeps no digest index, so it drops no duplicates; a
+  duplicate on the full path would need two frames with different
+  ``(sender, seq)`` to collide in 80 bits.
 """
 
 from __future__ import annotations
@@ -42,7 +67,7 @@ import itertools
 import math
 import os
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Deque, Iterator, List, Optional, Tuple
@@ -247,6 +272,14 @@ class SimulationKernel:
                 area_side=config.area_side,
             )
 
+        # Counted nodes (module docstring), by node id: when each verifier is
+        # next free, then receptions, checks of valid and of invalid frames,
+        # and frames left unprocessed at the end.  Node 0's slots stay unused.
+        self._counted = config.scheme == "baseline" and not config.record_all_nodes
+        width = self.total_nodes if self._counted else 0
+        self._free_at = [0.0] * width
+        self._tally = tuple([0] * width for _ in range(4))
+
         self.registry = RevocationRegistry(config.detection.votes_needed)
         self.channel_rng = random.Random(f"{base}:channel")
         self.ledger = MetricsLedger(
@@ -372,6 +405,9 @@ class SimulationKernel:
         generation = CAM_GENERATION
         handle_completion = self._handle_completion
         start_verification = self._start_verification
+        counted, node0 = self._counted, nodes[0]
+        end, tau, free_at = cfg.duration, cfg.tau, self._free_at
+        got, valid, invalid, late = self._tally
         while heap or done:
             if done and (not heap or done[0] < heap[0]):
                 t, kind, _, payload = popleft()
@@ -389,6 +425,22 @@ class SimulationKernel:
                     continue
                 # Nothing can pop between one frame's deliveries: whatever
                 # a reception schedules lands at t + tau or at a later kind.
+                if counted:
+                    verified = valid if job.cam.valid else invalid
+                    for rid in receivers:
+                        if rid:
+                            start = free_at[rid]
+                            if start < t:
+                                start = t
+                            if start <= end:
+                                free_at[rid] = start + tau
+                                verified[rid] += 1
+                            else:
+                                late[rid] += 1
+                            got[rid] += 1
+                        elif node0.receive(job) and node0.in_flight is None:  # the queued node
+                            start_verification(node0, t)
+                    continue
                 for rid in receivers:
                     node = nodes[rid]
                     if node.receive(job) and node.in_flight is None:
@@ -403,6 +455,27 @@ class SimulationKernel:
         cfg = self.config
         ledger = self.ledger
         revoked = self.registry.revoked
+        if self._counted:
+            if ledger.revocations:
+                raise ConservationError(
+                    f"a baseline run revoked {ledger.revocations}, but its counted nodes "
+                    "cannot purge what they never queued"
+                )
+            # Each counted node's tallies become its counters and outcome
+            # counts, so the checks below cover it like any other node.
+            got, valid, invalid, late = self._tally
+            for nid in range(1, self.total_nodes):
+                node = self.nodes[nid]
+                node.receptions = got[nid]
+                node.verifications_completed = valid[nid] + invalid[nid]
+                # Unary + drops zero counts, which the full path never makes.
+                counts = +Counter({
+                    SIGNATURE_ACCEPTED: valid[nid],
+                    REJECTED_INVALID: invalid[nid],
+                    DispositionKind.UNPROCESSED_AT_END: late[nid],
+                })
+                if counts:
+                    ledger.outcome_counts[nid] = counts
         revoked_ids = sorted(accused for accused, _ in ledger.revocations)
         if revoked_ids != sorted(revoked):
             raise ConservationError(

@@ -6,6 +6,7 @@ import gc
 import math
 import os
 import random
+from collections import deque
 from dataclasses import replace
 from heapq import heappush
 
@@ -486,6 +487,115 @@ class TestSchemes:
         lossy = run_scenario(short_config(seed=9, loss_prob=0.4))
         assert lossy.receptions[0] < clear.receptions[0]
         assert lossy.lost_frames > 0
+
+
+# At 8 * 2**21 bit/s a 300-byte frame takes 300 * 2**-21 s, so the
+# adversary's unclaimed frames land exactly on 1/32 + k/16 s.  Checks
+# chained from them end on multiples of tau = 1/32: node 1 pops a job at
+# exactly the run's end (2.0 s, 64 tau), and a frame reaches it at the
+# instant a check completes.
+_TIES = ScenarioConfig(
+    n_nodes=2,
+    scheme="baseline",
+    tau=1 / 32,
+    gamma=4.0,
+    bitrate=8.0 * 2**21,
+    duration=2.0,
+    seed=2,
+    adversary=AdversaryConfig(gamma_adv=16.0, start_time=(2**16 - 300) * 2**-21),
+)
+
+
+class TestCountedNodes:
+    """A baseline run without ``record_all_nodes`` queues node 0 alone and
+    counts every other node by the FCFS recursion; the same run with
+    ``record_all_nodes=True`` keeps every node on the queue path and is the
+    oracle."""
+
+    PER_NODE = ("receptions", "outcome_counts", "verifications_completed", "duplicates",
+                "claims_matched", "spot_checks_set")
+    SCALARS = ("queue_len_samples", "busy_time", "final_queue_len", "lost_frames", "bogus_accepted")
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScenarioConfig(n_nodes=8, scheme="baseline", tau=0.02, duration=3.0, loss_prob=0.3, seed=5),
+            ScenarioConfig(n_nodes=12, scheme="baseline", tau=0.01, duration=2.5, seed=7),
+            short_config(scheme="baseline", tau=0.02, loss_prob=0.1, adversary=AdversaryConfig(), seed=3),
+            short_config(
+                scheme="baseline",
+                tau=0.02,
+                adversary=AdversaryConfig(gamma_adv=20.0),
+                detection=DetectionConfig(votes_needed=1, blacklist_rejected=True),
+                seed=8,
+            ),
+            short_config(n_nodes=1, scheme="baseline", adversary=AdversaryConfig(), seed=2),
+            short_config(n_nodes=1, scheme="baseline", seed=2),
+            _TIES,
+        ],
+        ids=["loss", "overload", "adversary", "adversary-blacklist", "one-node-adversary", "one-node",
+             "ties"],
+    )
+    def test_counted_run_matches_the_full_path(self, cfg):
+        counted = run_scenario(cfg)
+        full = run_scenario(replace(cfg, record_all_nodes=True))
+        for name in self.PER_NODE + self.SCALARS:
+            assert getattr(counted, name) == getattr(full, name), name
+        assert list(counted.records) == [row for row in full.records if row[0] == 0]
+        assert set(counted.receptions) == set(range(cfg.n_nodes + (cfg.adversary is not None)))
+        assert counted.revocations == [] and counted.reports == []
+
+    def test_the_ties_happen_at_a_counted_node(self):
+        """The ``ties`` config of the grid above reaches both boundary cases."""
+        cfg = replace(_TIES, record_all_nodes=True)
+        checked = (DispositionKind.SIGNATURE_ACCEPTED, DispositionKind.REJECTED_INVALID)
+        ends, enqueues, pops = set(), set(), set()
+        for node, disp in run_scenario(cfg).records:
+            if node == 1:
+                enqueues.add(disp.enqueue_time)
+                if disp.outcome in checked:
+                    pops.add(disp.leave_queue_time)
+                    ends.add(disp.leave_queue_time + cfg.tau)
+        assert cfg.duration in pops
+        assert enqueues & ends
+
+    def test_only_node_0_is_queued(self, monkeypatch):
+        cfg = short_config(n_nodes=6, scheme="baseline", tau=0.02, adversary=AdversaryConfig(), seed=4)
+        plain = run_scenario(cfg)
+        received, completions = set(), []
+        receive = NodeState.receive
+
+        def recording(node, job):
+            received.add(node.node_id.id)
+            return receive(node, job)
+
+        class RecordedFifo(deque):
+            def append(self, entry):
+                completions.append(entry)
+                super().append(entry)
+
+        monkeypatch.setattr(NodeState, "receive", recording)
+        kernel = SimulationKernel(cfg)
+        kernel._completions = RecordedFifo()
+        ledger = kernel.run()
+        assert received == {0}
+        assert completions and {entry[3] for entry in completions} == {0}
+        assert ledger == plain
+        assert sum(ledger.receptions.values()) > ledger.receptions[0] > 0
+
+    @pytest.mark.parametrize("record_all_nodes", [False, True])
+    def test_a_revocation_fails_a_run_with_counted_nodes(self, record_all_nodes):
+        """Counted nodes cannot purge what they never queued, so a baseline
+        run that revokes fails unless every node is on the queue path."""
+        cfg = ScenarioConfig(n_nodes=4, scheme="baseline", duration=1.0, record_all_nodes=record_all_nodes)
+        kernel = SimulationKernel(cfg)
+        kernel.registry.revoked.add(2)
+        kernel._apply_revocation(2, 0.0)
+        if record_all_nodes:
+            assert kernel.run().revocations == [(2, 0.0)]
+        else:
+            with pytest.raises(ConservationError, match="counted nodes"):
+                kernel.run()
 
 
 class TestRunEnd:
