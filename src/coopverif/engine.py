@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from .core import Cam, Digest80, NodeId, VerificationJob
@@ -199,64 +198,39 @@ class VerifiedCache:
     Ordering and eviction follow the messages' generation timestamps, not
     reception or verification order.  Only messages this node
     signature-verified itself may enter; cooperatively accepted ones never
-    do.
-
-    A node verifies far more messages than it sends beacons, so ``record``
-    only appends to a pending buffer.  The buffer settles on read
-    (``digests()``, ``entries``, ``len``) or once it holds more than
-    ``PENDING_FACTOR * capacity`` records, which bounds its memory.
-    Settling stable-sorts the entries and then the pending records, newest
-    timestamp first, keeps each digest's first occurrence and cuts to
-    ``capacity``.  That equals inserting the records one at a time behind
-    every entry at least as new and evicting the oldest: among equal
-    timestamps the earlier record wins.  A digest recorded twice is the same
-    encoding, hence the same timestamp, so the repeat changes nothing.
+    do.  ``record`` inserts a message behind every entry at least as new,
+    so among equal timestamps the earlier record wins, and then evicts the
+    oldest entry past ``capacity``; a message no newer than the oldest entry
+    of a full cache is dropped.  A digest recorded twice is the same
+    encoding, hence the same timestamp, so the repeat is found among the
+    entries at least as new and changes nothing.
     """
 
-    PENDING_FACTOR = 8
-
-    __slots__ = ("capacity", "_entries", "_pending", "_limit")
+    __slots__ = ("capacity", "entries")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError("cache capacity must be >= 0")
         self.capacity = capacity
-        self._entries: List[Tuple[float, Digest80]] = []  # settled, gen timestamp desc
-        self._pending: List[Tuple[float, Digest80]] = []  # record order
-        self._limit = self.PENDING_FACTOR * capacity
+        self.entries: List[Tuple[float, Digest80]] = []  # gen timestamp desc
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def entries(self) -> List[Tuple[float, Digest80]]:
-        """``(gen timestamp, digest)`` pairs, newest first."""
-        if self._pending:
-            self._settle()
-        return self._entries
-
     def record(self, digest: Digest80, cam_timestamp: float) -> None:
-        if self.capacity == 0:
-            return
-        pending = self._pending
-        pending.append((cam_timestamp, digest))
-        if len(pending) > self._limit:
-            self._settle()
-
-    def _settle(self) -> None:
-        merged = self._entries + self._pending
-        self._pending = []
-        merged.sort(key=itemgetter(0), reverse=True)  # stable: ties keep record order
-        kept: List[Tuple[float, Digest80]] = []
-        seen: set[Digest80] = set()
-        for entry in merged:
-            digest = entry[1]
-            if digest not in seen:
-                seen.add(digest)
-                kept.append(entry)
-                if len(kept) == self.capacity:
-                    break
-        self._entries = kept
+        entries = self.entries
+        if len(entries) == self.capacity and (not entries or cam_timestamp <= entries[-1][0]):
+            return  # no room, or older than everything cached
+        pos = 0
+        for ts, cached in entries:
+            if ts < cam_timestamp:
+                break
+            if cached == digest:
+                return
+            pos += 1
+        entries.insert(pos, (cam_timestamp, digest))
+        if len(entries) > self.capacity:
+            entries.pop()
 
     def digests(self) -> Tuple[Digest80, ...]:
         return tuple(d for _, d in self.entries)

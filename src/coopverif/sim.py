@@ -25,10 +25,7 @@ carries the ids of every node that receives it and the frame's one
 order.  A run ends by checking that every node gave each of its
 receptions exactly one outcome, that no node verified faster than
 ``tau`` allows, that the ledger's revocations are the registry's, and
-that no revoked sender's job was still queued.  A run makes no reference
-cycles, so :meth:`SimulationKernel.run` pauses the cyclic garbage
-collector while it runs and leaves the caller's setting as it was when
-it returns.
+that no revoked sender's job was still queued.
 
 Two verification schemes are wired in: ``cooperative`` (random queue
 insertion, claim scanning, probabilistic spot checks) and ``baseline``
@@ -62,7 +59,6 @@ path's, for these reasons:
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
 import os
@@ -366,25 +362,13 @@ class SimulationKernel:
 
     def run(self) -> MetricsLedger:
         """Run the scenario to its end, check the run-end invariants and
-        return the ledger.
-
-        The cyclic garbage collector is off while the run lasts: the run
-        makes no reference cycles, so reference counting frees all it drops,
-        and the collector's passes over the growing ledger would find
-        nothing.  It is switched back on only if it was on before, also when
-        the run raises.  A second call raises :class:`RuntimeError`.
+        return the ledger.  A second call raises :class:`RuntimeError`.
         """
         if self._ran:
             raise RuntimeError("this kernel has already run; build a new one")
         self._ran = True
-        collector_was_on = gc.isenabled()
-        gc.disable()
-        try:
-            self._run_events()
-            self._finalize()
-        finally:
-            if collector_was_on:
-                gc.enable()
+        self._run_events()
+        self._finalize()
         return self.ledger
 
     def _run_events(self) -> None:

@@ -346,8 +346,8 @@ class TestVerifiedCache:
 
 
 class SequentialCache:
-    """Insert-and-evict one record at a time: the rule the settle-on-read
-    cache must equal, kept as its oracle."""
+    """Insert-and-evict one record at a time, with a set for presence: an
+    independent statement of the rule ``VerifiedCache`` keeps, as its oracle."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -373,7 +373,7 @@ class SequentialCache:
 
 
 class TestVerifiedCacheModel:
-    """The buffered cache against the sequential rule, read mid-sequence."""
+    """The cache against the sequential rule, read mid-sequence."""
 
     @staticmethod
     def _pool(rng, size):
@@ -406,16 +406,15 @@ class TestVerifiedCacheModel:
             assert len(cache) == len(oracle.entries)
 
     @pytest.mark.parametrize("capacity", range(7))
-    def test_pending_buffer_stays_bounded_without_reads(self, capacity):
+    def test_cache_stays_within_capacity_without_reads(self, capacity):
         rng = random.Random(capacity)
         cache, oracle = VerifiedCache(capacity), SequentialCache(capacity)
         pool = self._pool(rng, 500)
-        bound = VerifiedCache.PENDING_FACTOR * capacity
         for _ in range(10_000):
             digest, ts = rng.choice(pool)
             cache.record(digest, ts)
             oracle.record(digest, ts)
-            assert len(cache._pending) <= bound
+            assert len(cache.entries) <= capacity
         assert cache.entries == oracle.entries
 
 
